@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -109,8 +110,13 @@ class Parser {
     skip_ws();
     auto v = std::make_shared<Value>();
     switch (peek()) {
-      case '{': parse_object(*v); break;
-      case '[': parse_array(*v); break;
+      case '{':
+      case '[':
+        if (++depth_ > kMaxDepth) fail("nesting deeper than kMaxDepth");
+        if (peek() == '{') parse_object(*v);
+        else parse_array(*v);
+        --depth_;
+        break;
       case '"':
         v->type_ = Type::String;
         v->string_ = parse_string();
@@ -251,6 +257,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 ValuePtr parse(const std::string& text) { return Parser(text).parse_document(); }
@@ -265,6 +272,35 @@ ValuePtr parse_file(const std::string& path) {
   } catch (const ParseError& e) {
     throw ParseError(std::string(e.what()) + " (" + path + ")");
   }
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string fmt17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 }  // namespace dvs::json

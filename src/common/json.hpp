@@ -4,9 +4,12 @@
 // escapes), doubles, bools, null.  No external dependencies — the container
 // image is frozen.
 //
-// This is a *reader*; all JSON writing in the repo stays hand-rolled at the
-// emission sites (metrics_registry, attribution, bench_perf) where the
-// format lives next to the data.
+// Nesting is bounded (kMaxDepth): a hostile document fails with ParseError
+// instead of exhausting the stack.
+//
+// The reader is the bulk of this file; JSON writing stays hand-rolled at
+// the emission sites where the format lives next to the data, but every
+// writer spells strings with escape() and round-trip doubles with fmt17().
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dvs::json {
@@ -69,10 +73,23 @@ class Value {
   std::map<std::string, ValuePtr> object_;
 };
 
+/// Deepest array/object nesting parse() accepts; deeper input throws
+/// ParseError.  Nothing this repo writes nests more than a few levels.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 ValuePtr parse(const std::string& text);
 
 /// Reads and parses a whole file; ParseError mentions the path.
 ValuePtr parse_file(const std::string& path);
+
+/// The body of a JSON string literal for `s`: escapes the quote and the
+/// backslash, spells \n \t \r, and writes every other byte below 0x20 as
+/// \u00XX, so no raw control byte ever reaches a JSONL line.
+std::string escape(std::string_view s);
+
+/// %.17g: the round-trip-exact double spelling of the durable writers
+/// (strtod gives back the identical bits).
+std::string fmt17(double v);
 
 }  // namespace dvs::json

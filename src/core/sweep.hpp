@@ -23,20 +23,10 @@
 #include "common/stats.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
+#include "core/unit_runner.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/telemetry/snapshotter.hpp"
 
 namespace dvs::core {
-
-/// Resolves a --jobs value: 0 means hardware concurrency, floor 1.
-int resolve_jobs(int jobs);
-
-/// Runs fn(i) for every i in [0, n) on `jobs` threads.  Work is split into
-/// per-worker ranges; idle workers steal from the back of the busiest
-/// victim's remainder.  jobs <= 1 (after resolution) runs inline.  The
-/// first exception thrown by fn is rethrown after all workers stop.
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& fn);
 
 /// Replicate aggregate for one metric column: mean, sample stddev, and the
 /// half-width of the Student-t 95% confidence interval (0 when n < 2).
@@ -116,12 +106,14 @@ RunOptions assemble_run_options(const RunPoint& p, const CpuAsset& cpu,
                                 const dpm::IdleDistributionPtr& idle,
                                 const DetectorFactoryConfig& detector_cfg);
 
-/// One checkpointed point, ready to re-enter a resumed sweep's folds in
-/// place of executing it (see SweepOptions::restored).
+/// One point's fold input, the sweep's unit partial: a checkpointed point
+/// re-enters a resumed sweep's folds through it in place of executing it
+/// (see SweepOptions::restored).
 struct RestoredPoint {
   Metrics metrics;
   /// The point's frames.delay_s sketch at checkpoint time; empty when the
-  /// original run did not collect quantiles.
+  /// original run did not collect quantiles (and for executed points,
+  /// whose sketch stays in their per-point registry).
   obs::QuantileSketch delay_sketch;
 };
 
@@ -179,8 +171,10 @@ struct SweepResult {
   void write_cells_csv(CsvWriter& csv) const;
 };
 
-struct SweepOptions {
-  int jobs = 1;  ///< 0 = hardware concurrency
+/// Shared fields (jobs, heartbeat_path, heartbeat_job, telemetry) come
+/// from UnitRunOptions; a sweep's unit is one RunPoint, and its heartbeat
+/// records and snapshots carry the point, cell, replicate and energy.
+struct SweepOptions : UnitRunOptions {
   /// Summary sink, fed serially after the run (the registry itself is not
   /// thread-safe, so per-run engine hooks stay off during a sweep).  When
   /// set, every point gets a private registry on its worker and the
@@ -193,42 +187,27 @@ struct SweepOptions {
   /// cells-CSV delay percentile columns) even without a summary registry.
   /// Implied by `metrics`.  Off by default: it attaches a metrics registry
   /// to every engine run, which costs histogram updates on the hot path.
+  /// Snapshots carry the finished point's own registry when this is on.
   bool collect_quantiles = false;
-  /// Live telemetry: one snapshot per finished point (wall-clock `t`,
-  /// completion order — same contract as the heartbeat: telemetry only,
-  /// never feeds results).  Snapshots carry the finished point's own
-  /// registry when quantile collection is on.
-  obs::TelemetrySnapshotter* telemetry = nullptr;
-  /// Progress callback, serialized, in completion (not expansion) order.
-  std::function<void(const PointResult&)> on_point;
   /// Per-point RunOptions hook, called on the worker thread after the
   /// standard fields are filled and before the engine runs.  Must be
   /// thread-safe (points run concurrently); must not change fields that
   /// feed the simulation result if bit-identity across --jobs matters —
   /// it exists for observability attachments (ledgers, flight-dump paths).
   std::function<void(const RunPoint&, RunOptions&)> configure_run;
-  /// Non-empty: live progress heartbeat as JSONL, one object per finished
-  /// point (done/total, elapsed, ETA, running aggregates).  "-" = stderr.
-  /// Written under the same lock as on_point; telemetry only — it never
-  /// influences results.
-  std::string heartbeat_path;
-  /// Non-empty: every heartbeat record leads with a `"job":"<id>"` member —
-  /// the serve daemon's trace context, linking a heartbeat line back to the
-  /// job (and its checkpoint/event records) that produced it.  Empty (the
-  /// default) emits the records unchanged.
-  std::string heartbeat_job;
   /// Checkpoint/restore (the serve daemon's hooks; plain sweeps leave both
   /// unset).  Points whose RunPoint::index appears in `restored` are not
   /// executed: their checkpointed metrics and delay sketch enter the folds
   /// exactly where a fresh run's would, so a resumed sweep's CSVs are
   /// byte-identical to an uninterrupted one (the sketch text format
   /// round-trips doubles bit-exactly).  Restored points are counted as
-  /// already done by the heartbeat and produce no progress callbacks.
+  /// already done by the heartbeat and produce no observer calls.
   const std::map<std::size_t, RestoredPoint>* restored = nullptr;
-  /// Called under the progress lock after every *executed* point, with the
-  /// point's metrics and its frame-delay sketch (empty unless quantile
-  /// collection is on) — everything a checkpoint record needs to make the
-  /// point restorable.  Serialized; completion order.
+  /// The unit observer: called on the worker thread, under the progress
+  /// lock, after every *executed* point, with the point's metrics and its
+  /// frame-delay sketch (empty unless quantile collection is on) —
+  /// everything a checkpoint record needs to make the point restorable.
+  /// Serialized; completion order; before that point's heartbeat line.
   std::function<void(const RunPoint&, const Metrics&,
                      const obs::QuantileSketch&)>
       on_point_checkpoint;

@@ -1,5 +1,6 @@
-// FleetRunner: executes a FleetSpec's device population on the sweep's
-// work-stealing pool with results that are bit-identical at any --jobs.
+// FleetRunner: executes a FleetSpec's device population on the unit
+// runner (core/unit_runner.hpp), one unit per shard, with results that are
+// bit-identical at any --jobs.
 //
 // Determinism contract (the sweep's, restated for devices): every device
 // is an independent simulation — its plan is pure arithmetic on
@@ -27,9 +28,9 @@
 
 #include "common/csv.hpp"
 #include "core/metrics.hpp"
+#include "core/unit_runner.hpp"
 #include "fleet/fleet_spec.hpp"
 #include "obs/telemetry/quantile_sketch.hpp"
-#include "obs/telemetry/snapshotter.hpp"
 
 namespace dvs::fleet {
 
@@ -86,30 +87,23 @@ struct FleetResult {
   void write_csv(CsvWriter& csv) const;
 };
 
-struct FleetOptions {
-  int jobs = 1;  ///< 0 = hardware concurrency
+/// Shared fields (jobs, heartbeat_path, heartbeat_job, telemetry) come
+/// from core::UnitRunOptions; a fleet's unit is one shard, and its
+/// heartbeat `done`/`total` count devices.
+struct FleetOptions : core::UnitRunOptions {
   /// Devices per shard: the unit of work stealing, heartbeat granularity,
   /// and partial-fold order.  Result bytes are independent of this value
   /// only through the sums; sketch fold order follows shard order, so it
   /// is part of the spec of a reproducible run (keep the default unless
   /// measuring scheduling).
   std::size_t shard_size = 1024;
-  /// Non-empty: live progress heartbeat as JSONL, one flushed object per
-  /// finished shard (devices done/total, elapsed, ETA, running fleet
-  /// Joules).  "-" = stderr.  Telemetry only — never influences results.
-  std::string heartbeat_path;
-  /// Non-empty: every heartbeat record leads with a `"job":"<id>"` member
-  /// (the serve daemon's trace context).  Empty = records unchanged.
-  std::string heartbeat_job;
-  /// Live telemetry: one snapshot per finished shard (same contract as
-  /// the heartbeat).
-  obs::TelemetrySnapshotter* telemetry = nullptr;
   /// Checkpoint/restore (the serve daemon's hooks; plain fleet runs leave
   /// both unset).  Shards whose index appears in `restored` are not
   /// simulated: their checkpointed partials take their place in the serial
   /// shard-order fold, and they count as already done in the heartbeat.
   const std::map<std::size_t, FleetShardPartial>* restored = nullptr;
-  /// Called under the progress lock after every *executed* shard with its
+  /// The unit observer: called on the worker thread that simulated the
+  /// shard, under the progress lock, after every *executed* shard with its
   /// finished partial — everything a checkpoint record needs to make the
   /// shard restorable.  Serialized; completion order.
   std::function<void(std::size_t, const FleetShardPartial&)> on_shard;

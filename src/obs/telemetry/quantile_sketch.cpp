@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
@@ -11,16 +10,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
+
 namespace dvs::obs {
 
 namespace {
-
-/// %.17g: the shortest printf format that round-trips every finite double.
-std::string fmt17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 double parse_double(const std::string& tok, const char* what) {
   char* end = nullptr;
@@ -283,16 +277,17 @@ void QuantileSketch::merge(const QuantileSketch& other) {
 
 void QuantileSketch::write_text(std::ostream& os) const {
   os << "dvs-sketch-v1 mode=" << (exact_ ? "exact" : "p2")
-     << " cap=" << capacity_ << " count=" << count_ << " min=" << fmt17(min_)
-     << " max=" << fmt17(max_) << "\n";
+     << " cap=" << capacity_ << " count=" << count_
+     << " min=" << json::fmt17(min_) << " max=" << json::fmt17(max_) << "\n";
   if (exact_) {
     os << samples_.size() << "\n";
-    for (double v : samples_) os << fmt17(v) << "\n";
+    for (double v : samples_) os << json::fmt17(v) << "\n";
     return;
   }
   os << kMarkers << "\n";
   for (std::size_t i = 0; i < kMarkers; ++i) {
-    os << fmt17(q_[i]) << " " << fmt17(n_[i]) << " " << fmt17(d_[i]) << "\n";
+    os << json::fmt17(q_[i]) << " " << json::fmt17(n_[i]) << " "
+       << json::fmt17(d_[i]) << "\n";
   }
 }
 
@@ -357,6 +352,19 @@ QuantileSketch QuantileSketch::read_text(std::istream& is) {
     s.d_[i] = parse_double(dt, "marker desired position");
   }
   return s;
+}
+
+std::string sketch_text(const QuantileSketch& s) {
+  if (s.empty()) return {};
+  std::ostringstream os;
+  s.write_text(os);
+  return os.str();
+}
+
+QuantileSketch sketch_from_text(const std::string& text) {
+  if (text.empty()) return QuantileSketch{};
+  std::istringstream is(text);
+  return QuantileSketch::read_text(is);
 }
 
 }  // namespace dvs::obs

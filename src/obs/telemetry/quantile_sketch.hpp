@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace dvs::obs {
@@ -104,5 +105,12 @@ class QuantileSketch {
   std::array<double, kMarkers> n_{};
   std::array<double, kMarkers> d_{};
 };
+
+/// The sketch as one embeddable string: the dvs-sketch-v1 text, or "" for
+/// an empty sketch (whose write_text would carry non-finite min/max).
+std::string sketch_text(const QuantileSketch& s);
+/// Inverse of sketch_text ("" gives an empty sketch); throws
+/// std::runtime_error on malformed text.
+QuantileSketch sketch_from_text(const std::string& text);
 
 }  // namespace dvs::obs

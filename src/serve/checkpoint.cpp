@@ -1,8 +1,5 @@
 #include "serve/checkpoint.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -10,40 +7,12 @@
 namespace dvs::serve {
 namespace {
 
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::fmt17;
+using obs::sketch_from_text;
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Empty sketches serialize as "" (write_text would emit non-finite
-/// min/max); everything else embeds the pinned dvs-sketch-v1 text.
-std::string sketch_text(const obs::QuantileSketch& s) {
-  if (s.empty()) return {};
-  std::ostringstream os;
-  s.write_text(os);
-  return os.str();
-}
-
-obs::QuantileSketch sketch_from_text(const std::string& text) {
-  if (text.empty()) return obs::QuantileSketch{};
-  std::istringstream is(text);
-  return obs::QuantileSketch::read_text(is);
+/// A sketch as the body of a JSON string member.
+std::string sketch_json(const obs::QuantileSketch& s) {
+  return json::escape(obs::sketch_text(s));
 }
 
 void write_metrics(std::ostream& os, const core::Metrics& m) {
@@ -134,60 +103,50 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
                                    const std::string& job_id,
                                    const std::string& kind,
                                    std::size_t flush_every)
-    : flush_every_(flush_every == 0 ? 1 : flush_every) {
-  std::error_code ec;
-  const bool fresh = !std::filesystem::exists(path, ec) ||
-                     std::filesystem::file_size(path, ec) == 0;
-  out_.open(path, std::ios::app);
-  if (!out_) {
-    throw std::runtime_error("CheckpointWriter: cannot open " + path);
-  }
-  if (fresh) {
-    out_ << "{\"schema\": \"" << kCheckpointSchema << "\", \"job\": \""
-         << escape(job_id) << "\", \"kind\": \"" << kind << "\"}\n";
-    out_.flush();
-  }
-}
+    : out_(path, "{\"schema\": \"" + std::string(kCheckpointSchema) +
+                     "\", \"job\": \"" + json::escape(job_id) +
+                     "\", \"kind\": \"" + json::escape(kind) + "\"}"),
+      flush_every_(flush_every == 0 ? 1 : flush_every) {}
 
 bool CheckpointWriter::append_point(std::size_t index,
                                     const core::Metrics& metrics,
                                     const obs::QuantileSketch& delay_sketch) {
-  out_ << "{\"point\": " << index << ", \"metrics\": ";
-  write_metrics(out_, metrics);
-  out_ << ", \"delay_sketch\": \"" << escape(sketch_text(delay_sketch))
-       << "\"}\n";
+  std::ostream& os = out_.out();
+  os << "{\"point\": " << index << ", \"metrics\": ";
+  write_metrics(os, metrics);
+  os << ", \"delay_sketch\": \"" << sketch_json(delay_sketch) << "\"}";
   return record_done();
 }
 
 bool CheckpointWriter::append_shard(std::size_t shard,
                                     const fleet::FleetShardPartial& part) {
-  out_ << "{\"shard\": " << shard << ", \"frames_total\": " << part.frames_total
-       << ", \"groups\": [";
+  std::ostream& os = out_.out();
+  os << "{\"shard\": " << shard << ", \"frames_total\": " << part.frames_total
+     << ", \"groups\": [";
   for (std::size_t i = 0; i < part.groups.size(); ++i) {
     const fleet::FleetGroupResult& g = part.groups[i];
-    if (i != 0) out_ << ", ";
-    out_ << "{\"devices\": " << g.devices
-         << ", \"wave_devices\": " << g.wave_devices
-         << ", \"energy_j\": " << fmt17(g.energy_j)
-         << ", \"frames_decoded\": " << g.frames_decoded
-         << ", \"frames_dropped\": " << g.frames_dropped
-         << ", \"faults_injected\": " << g.faults_injected
-         << ", \"sum_mean_delay_s\": " << fmt17(g.sum_mean_delay_s)
-         << ", \"delay_sketch\": \"" << escape(sketch_text(g.delay_sketch))
-         << "\", \"energy_sketch\": \"" << escape(sketch_text(g.energy_sketch))
-         << "\", \"dropped_sketch\": \""
-         << escape(sketch_text(g.dropped_sketch)) << "\"}";
+    if (i != 0) os << ", ";
+    os << "{\"devices\": " << g.devices
+       << ", \"wave_devices\": " << g.wave_devices
+       << ", \"energy_j\": " << fmt17(g.energy_j)
+       << ", \"frames_decoded\": " << g.frames_decoded
+       << ", \"frames_dropped\": " << g.frames_dropped
+       << ", \"faults_injected\": " << g.faults_injected
+       << ", \"sum_mean_delay_s\": " << fmt17(g.sum_mean_delay_s)
+       << ", \"delay_sketch\": \"" << sketch_json(g.delay_sketch)
+       << "\", \"energy_sketch\": \"" << sketch_json(g.energy_sketch)
+       << "\", \"dropped_sketch\": \"" << sketch_json(g.dropped_sketch)
+       << "\"}";
   }
-  out_ << "]}\n";
+  os << "]}";
   return record_done();
 }
 
 bool CheckpointWriter::record_done() {
-  if (++pending_ >= flush_every_) {
-    flush();
-    return true;
-  }
-  return false;
+  const bool flush = ++pending_ >= flush_every_;
+  if (flush) pending_ = 0;
+  out_.end_record(flush);
+  return flush;
 }
 
 void CheckpointWriter::flush() {
@@ -197,51 +156,32 @@ void CheckpointWriter::flush() {
 
 CheckpointData load_checkpoint(const std::string& path) {
   CheckpointData data;
-  std::ifstream in(path);
-  if (!in) return data;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::ValuePtr doc;
-    try {
-      doc = json::parse(line);
-    } catch (const json::ParseError&) {
-      break;  // torn tail after a SIGKILL: keep the intact prefix
-    }
-    if (const json::Value* schema = doc->find("schema"); schema != nullptr) {
-      if (!schema->is_string() || schema->as_string() != kCheckpointSchema) {
-        throw std::runtime_error("checkpoint " + path +
-                                 ": header schema is not \"" +
-                                 std::string(kCheckpointSchema) + "\"");
-      }
-      data.job_id = doc->string_or("job", "");
-      data.kind = doc->string_or("kind", "");
-      continue;
-    }
-    try {
-      if (const json::Value* point = doc->find("point"); point != nullptr) {
-        core::RestoredPoint rp;
-        rp.metrics = read_metrics(doc->at("metrics"));
-        rp.delay_sketch = sketch_from_text(doc->string_or("delay_sketch", ""));
-        data.points[static_cast<std::size_t>(point->as_number())] =
-            std::move(rp);
-        continue;
-      }
-      if (const json::Value* shard = doc->find("shard"); shard != nullptr) {
-        fleet::FleetShardPartial part;
-        part.frames_total =
-            static_cast<std::uint64_t>(doc->number_or("frames_total", 0));
-        for (const json::ValuePtr& g : doc->at("groups").as_array()) {
-          part.groups.push_back(read_group(*g));
+  durable::load_jsonl(
+      path, kCheckpointSchema,
+      [&](const json::Value& header) {
+        data.job_id = header.string_or("job", "");
+        data.kind = header.string_or("kind", "");
+      },
+      [&](const json::Value& doc) {
+        if (const json::Value* point = doc.find("point"); point != nullptr) {
+          core::RestoredPoint rp;
+          rp.metrics = read_metrics(doc.at("metrics"));
+          rp.delay_sketch = sketch_from_text(doc.string_or("delay_sketch", ""));
+          data.points[static_cast<std::size_t>(point->as_number())] =
+              std::move(rp);
+        } else if (const json::Value* shard = doc.find("shard");
+                   shard != nullptr) {
+          fleet::FleetShardPartial part;
+          part.frames_total =
+              static_cast<std::uint64_t>(doc.number_or("frames_total", 0));
+          for (const json::ValuePtr& g : doc.at("groups").as_array()) {
+            part.groups.push_back(read_group(*g));
+          }
+          data.shards[static_cast<std::size_t>(shard->as_number())] =
+              std::move(part);
         }
-        data.shards[static_cast<std::size_t>(shard->as_number())] =
-            std::move(part);
-        continue;
-      }
-    } catch (const std::runtime_error&) {
-      break;  // shape-torn record or torn sketch text: stop at the prefix
-    }
-  }
+        return true;
+      });
   return data;
 }
 

@@ -21,15 +21,16 @@
 // the serial fold with the very same operand bytes.  A SIGKILL can tear
 // the buffered tail of the file — the loader keeps every line up to the
 // first unparsable one and discards the rest, which merely re-executes the
-// torn units.  Appending to an existing file on resume is supported (the
-// header is written only when the file starts empty).
+// torn units.  Appending to an existing file on resume is supported: the
+// writer truncates a torn tail first, and writes the header only when the
+// file starts empty (common/durable_io.hpp).
 #pragma once
 
 #include <cstddef>
-#include <fstream>
 #include <map>
 #include <string>
 
+#include "common/durable_io.hpp"
 #include "core/sweep.hpp"
 #include "fleet/fleet_runner.hpp"
 
@@ -39,8 +40,9 @@ inline constexpr const char* kCheckpointSchema = "dvs-checkpoint-v1";
 
 class CheckpointWriter {
  public:
-  /// Opens `path` for append; writes the header when the file is new.
-  /// `flush_every` = completed units per durability flush (>= 1).
+  /// Opens `path` for append (truncating a torn tail); writes the header
+  /// when the file is new.  `flush_every` = completed units per durability
+  /// flush (>= 1).
   CheckpointWriter(const std::string& path, const std::string& job_id,
                    const std::string& kind, std::size_t flush_every);
 
@@ -55,7 +57,7 @@ class CheckpointWriter {
  private:
   bool record_done();
 
-  std::ofstream out_;
+  durable::JsonlAppender out_;
   std::size_t flush_every_ = 1;
   std::size_t pending_ = 0;
 };

@@ -23,9 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
+
+#include "common/durable_io.hpp"
 
 namespace dvs::serve {
 
@@ -51,9 +52,8 @@ struct ServeEvent {
 
 /// Appends lifecycle events to `<root>/events.jsonl`, one flushed JSONL
 /// record per call.  Construction truncates a SIGKILL-torn trailing line
-/// back to the last complete record (WAL recovery — appending after the
-/// fragment would corrupt the next line), then loads the intact prefix to
-/// resume the sequence counter.
+/// back to the last complete record (common/durable_io.hpp), then loads
+/// the intact prefix to resume the sequence counter.
 class EventLog {
  public:
   /// Opens `path` for append; writes the schema header when the file is
@@ -82,9 +82,12 @@ class EventLog {
   void append(const std::string& type, const std::string& job,
               const std::string& fields);
 
-  std::ofstream out_;
+  durable::JsonlAppender out_;
   std::uint64_t seq_ = 0;
 };
+
+/// Wall-clock unix seconds: the clock of event `ts` and status.json.
+double now_unix();
 
 /// Loads an event log; a missing file yields an empty vector, a torn
 /// trailing line ends the load at the last intact record (the checkpoint

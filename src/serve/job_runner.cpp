@@ -24,26 +24,66 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Optional checkpointing: writer + restored state live together so the
-/// restore map outlives the runner call.
-struct CheckpointSession {
-  CheckpointData restored;
-  std::optional<CheckpointWriter> writer;
-};
-
-CheckpointSession open_checkpoint(const JobSpec& spec,
-                                  const std::string& path) {
-  CheckpointSession s;
-  if (path.empty()) return s;
-  s.restored = load_checkpoint(path);
-  if (!s.restored.empty() && s.restored.kind != to_string(spec.kind)) {
-    throw std::runtime_error("checkpoint " + path + " is for a " +
-                             s.restored.kind + " job, not " +
-                             to_string(spec.kind));
+/// The one path every job shares: load what an interrupted run left
+/// behind, append every executed fold-unit to the checkpoint, tell the
+/// daemon, flush at the end, and summarize.  A run-kind job is a single
+/// unit and never checkpoints.
+class JobSession {
+ public:
+  JobSession(const JobSpec& spec, const JobPaths& paths, std::size_t total)
+      : spec_(spec), paths_(paths), total_(total) {
+    const std::string& path = paths.checkpoint_path;
+    if (path.empty() || spec.kind == JobKind::Run) return;
+    restored_ = load_checkpoint(path);
+    if (!restored_.empty() && restored_.kind != to_string(spec.kind)) {
+      throw std::runtime_error("checkpoint " + path + " is for a " +
+                               restored_.kind + " job, not " +
+                               to_string(spec.kind));
+    }
+    writer_.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
+    done_ = restored_.points.size() + restored_.shards.size();
   }
-  s.writer.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
-  return s;
-}
+
+  [[nodiscard]] const CheckpointData& restored() const { return restored_; }
+
+  /// The runner's unit observer: records the unit through
+  /// `append(writer, unit...)` when checkpointing, then tells the daemon.
+  /// Installed only when listened(), so unobserved runs skip the lock.
+  template <class Append>
+  auto observer(Append append) {
+    return [this, append](const auto&... unit) {
+      const bool flushed = writer_ && append(*writer_, unit...);
+      if (paths_.on_progress) paths_.on_progress({++done_, total_, flushed});
+    };
+  }
+  [[nodiscard]] bool listened() const {
+    return writer_.has_value() || static_cast<bool>(paths_.on_progress);
+  }
+
+  /// Flushes the checkpoint, fills the summary's shared fields, writes it.
+  JobOutcome finish(JobSummary& summary, double elapsed_s) {
+    if (writer_) writer_->flush();
+    JobOutcome out;
+    out.restored_units = restored_.points.size() + restored_.shards.size();
+    out.executed_units = total_ - std::min(total_, out.restored_units);
+    summary.job_id = spec_.id;
+    summary.kind = to_string(spec_.kind);
+    summary.units_total = total_;
+    summary.executed = out.executed_units;
+    summary.restored = out.restored_units;
+    summary.elapsed_s = elapsed_s;
+    write_job_summary(summary, paths_.output_dir + "/job_summary.json");
+    return out;
+  }
+
+ private:
+  const JobSpec& spec_;
+  const JobPaths& paths_;
+  std::size_t total_;
+  CheckpointData restored_;
+  std::optional<CheckpointWriter> writer_;
+  std::size_t done_ = 0;  ///< restored + executed units (progress lock)
+};
 
 JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
@@ -55,9 +95,7 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   }
   if (!spec.sweep.policy.empty()) scenario.policies = {spec.sweep.policy};
 
-  CheckpointSession ckpt = open_checkpoint(spec, paths.checkpoint_path);
-  const std::size_t total = scenario.num_points();
-
+  JobSession job(spec, paths, scenario.num_points());
   core::SweepOptions sopts;
   sopts.jobs = jobs;
   // Always collect quantiles: the cells CSV must carry the same percentile
@@ -78,37 +116,22 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
                              std::to_string(p.index) + "_rep" +
                              std::to_string(p.replicate) + ".flight.txt";
   };
-  if (!ckpt.restored.points.empty()) sopts.restored = &ckpt.restored.points;
-  if (ckpt.writer || paths.on_progress) {
-    CheckpointWriter* w = ckpt.writer ? &*ckpt.writer : nullptr;
-    std::size_t done = ckpt.restored.points.size();
-    sopts.on_point_checkpoint = [w, &paths, total, done](
-                                    const core::RunPoint& p,
-                                    const core::Metrics& m,
-                                    const obs::QuantileSketch& sketch) mutable {
-      const bool flushed = w != nullptr && w->append_point(p.index, m, sketch);
-      if (paths.on_progress) paths.on_progress({++done, total, flushed});
-    };
+  if (!job.restored().points.empty()) sopts.restored = &job.restored().points;
+  if (job.listened()) {
+    sopts.on_point_checkpoint = job.observer(
+        [](CheckpointWriter& w, const core::RunPoint& p, const core::Metrics& m,
+           const obs::QuantileSketch& sketch) {
+          return w.append_point(p.index, m, sketch);
+        });
   }
 
   const core::SweepResult res = core::SweepRunner{sopts}.run(scenario);
-  if (ckpt.writer) ckpt.writer->flush();
-
   CsvWriter cells{paths.output_dir + "/sweep_cells.csv"};
   res.write_cells_csv(cells);
   CsvWriter points{paths.output_dir + "/sweep_points.csv"};
   res.write_points_csv(points);
 
-  JobOutcome out;
-  out.restored_units = ckpt.restored.points.size();
-  out.executed_units = res.points.size() - out.restored_units;
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = total;
-  summary.executed = out.executed_units;
-  summary.restored = out.restored_units;
   for (const core::PointResult& p : res.points) {
     summary.frames_decoded += p.metrics.frames_decoded;
     summary.frames_dropped += p.metrics.frames_dropped;
@@ -121,9 +144,7 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   for (const core::CellResult& c : res.cells) {
     summary.frame_delay_sketch.merge(c.delay_sketch);
   }
-  summary.elapsed_s = res.wall_seconds;
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
-  return out;
+  return job.finish(summary, res.wall_seconds);
 }
 
 JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
@@ -132,8 +153,6 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   if (spec.fleet.devices > 0) fspec.num_devices = spec.fleet.devices;
   if (spec.seed_set) fspec.fleet_seed = spec.seed;
 
-  CheckpointSession ckpt = open_checkpoint(spec, paths.checkpoint_path);
-
   dvs::fleet::FleetOptions fopts;
   fopts.jobs = jobs;
   if (spec.fleet.shard_size > 0) fopts.shard_size = spec.fleet.shard_size;
@@ -141,34 +160,21 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   fopts.heartbeat_job = spec.id;
   const std::size_t shards =
       (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size;
-  if (!ckpt.restored.shards.empty()) fopts.restored = &ckpt.restored.shards;
-  if (ckpt.writer || paths.on_progress) {
-    CheckpointWriter* w = ckpt.writer ? &*ckpt.writer : nullptr;
-    std::size_t done = ckpt.restored.shards.size();
-    fopts.on_shard = [w, &paths, shards, done](
-                         std::size_t shard,
-                         const dvs::fleet::FleetShardPartial& part) mutable {
-      const bool flushed = w != nullptr && w->append_shard(shard, part);
-      if (paths.on_progress) paths.on_progress({++done, shards, flushed});
-    };
+  JobSession job(spec, paths, shards);
+  if (!job.restored().shards.empty()) fopts.restored = &job.restored().shards;
+  if (job.listened()) {
+    fopts.on_shard = job.observer(
+        [](CheckpointWriter& w, std::size_t shard,
+           const dvs::fleet::FleetShardPartial& part) {
+          return w.append_shard(shard, part);
+        });
   }
 
   const dvs::fleet::FleetResult res = dvs::fleet::FleetRunner{fopts}.run(fspec);
-  if (ckpt.writer) ckpt.writer->flush();
-
   CsvWriter csv{paths.output_dir + "/fleet.csv"};
   res.write_csv(csv);
 
-  JobOutcome out;
-  out.restored_units = ckpt.restored.shards.size();
-  out.executed_units = shards - std::min(shards, out.restored_units);
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = shards;
-  summary.executed = out.executed_units;
-  summary.restored = out.restored_units;
   summary.frames_decoded = res.total.frames_decoded;
   summary.frames_dropped = res.total.frames_dropped;
   summary.energy_j = res.total.energy_j;
@@ -176,9 +182,7 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   // fleet-wide fold, already pinned in shard order by the runner.
   summary.device_delay_sketch = res.total.delay_sketch;
   summary.device_delay_sum_s = res.total.sum_mean_delay_s;
-  summary.elapsed_s = res.wall_seconds;
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
-  return out;
+  return job.finish(summary, res.wall_seconds);
 }
 
 JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
@@ -284,14 +288,7 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
       m.max_frame_delay.value(), static_cast<double>(m.cpu_switches),
       static_cast<double>(m.dpm_sleeps)});
 
-  JobOutcome out;
-  out.executed_units = 1;
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = 1;
-  summary.executed = 1;
   summary.frames_decoded = m.frames_decoded;
   summary.frames_dropped = m.frames_dropped;
   summary.energy_j = m.total_energy.value();
@@ -299,10 +296,10 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
     summary.frame_delay_sketch = h->sketch();
     summary.frame_delay_sum_s = h->count() > 0 ? h->stats().sum() : 0.0;
   }
-  summary.elapsed_s =
+  const JobOutcome out = JobSession(spec, paths, 1).finish(
+      summary,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
+          .count());
   if (paths.on_progress) paths.on_progress({1, 1, false});
   return out;
 }

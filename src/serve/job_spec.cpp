@@ -40,21 +40,6 @@ bool bool_field(const json::Value& obj, const std::string& key, bool fallback) {
   return v == nullptr ? fallback : v->as_bool();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 core::DetectorKind resolve_detector(const std::string& name) {
@@ -232,7 +217,7 @@ void JobSpec::write_json(std::ostream& os) const {
   std::ostringstream body;
   body << "{\n"
        << "  \"schema\": \"" << kJobSchema << "\",\n"
-       << "  \"id\": \"" << json_escape(id) << "\",\n"
+       << "  \"id\": \"" << json::escape(id) << "\",\n"
        << "  \"kind\": \"" << to_string(kind) << "\",\n";
   if (seed_set) body << "  \"seed\": " << seed << ",\n";
   body << "  \"jobs\": " << jobs << ",\n"
@@ -240,32 +225,32 @@ void JobSpec::write_json(std::ostream& os) const {
   switch (kind) {
     case JobKind::Run:
       body << "  \"run\": {\n"
-           << "    \"media\": \"" << json_escape(run.media) << "\",\n"
-           << "    \"sequence\": \"" << json_escape(run.sequence) << "\",\n"
-           << "    \"clip\": \"" << json_escape(run.clip) << "\",\n"
+           << "    \"media\": \"" << json::escape(run.media) << "\",\n"
+           << "    \"sequence\": \"" << json::escape(run.sequence) << "\",\n"
+           << "    \"clip\": \"" << json::escape(run.clip) << "\",\n"
            << "    \"seconds\": " << run.seconds << ",\n"
            << "    \"session\": " << (run.session ? "true" : "false") << ",\n"
            << "    \"cycles\": " << run.cycles << ",\n"
-           << "    \"detector\": \"" << json_escape(run.detector) << "\",\n"
-           << "    \"policy\": \"" << json_escape(run.policy) << "\",\n"
-           << "    \"dpm\": \"" << json_escape(run.dpm) << "\",\n"
+           << "    \"detector\": \"" << json::escape(run.detector) << "\",\n"
+           << "    \"policy\": \"" << json::escape(run.policy) << "\",\n"
+           << "    \"dpm\": \"" << json::escape(run.dpm) << "\",\n"
            << "    \"dpm_delay\": " << run.dpm_delay << ",\n"
            << "    \"delay\": " << run.delay << ",\n"
            << "    \"cv2\": " << run.cv2 << ",\n"
-           << "    \"faults\": \"" << json_escape(run.faults) << "\"\n"
+           << "    \"faults\": \"" << json::escape(run.faults) << "\"\n"
            << "  }\n";
       break;
     case JobKind::Sweep:
       body << "  \"sweep\": {\n"
-           << "    \"scenario\": \"" << json_escape(sweep.scenario) << "\",\n"
+           << "    \"scenario\": \"" << json::escape(sweep.scenario) << "\",\n"
            << "    \"replicates\": " << sweep.replicates << ",\n"
-           << "    \"faults\": \"" << json_escape(sweep.faults) << "\",\n"
-           << "    \"policy\": \"" << json_escape(sweep.policy) << "\"\n"
+           << "    \"faults\": \"" << json::escape(sweep.faults) << "\",\n"
+           << "    \"policy\": \"" << json::escape(sweep.policy) << "\"\n"
            << "  }\n";
       break;
     case JobKind::Fleet:
       body << "  \"fleet\": {\n"
-           << "    \"name\": \"" << json_escape(fleet.name) << "\",\n"
+           << "    \"name\": \"" << json::escape(fleet.name) << "\",\n"
            << "    \"devices\": " << fleet.devices << ",\n"
            << "    \"shard_size\": " << fleet.shard_size << "\n"
            << "  }\n";

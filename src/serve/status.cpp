@@ -1,77 +1,25 @@
 #include "serve/status.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/durable_io.hpp"
 #include "common/json.hpp"
 
 namespace dvs::serve {
 namespace fs = std::filesystem;
-namespace {
-
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string sketch_text(const obs::QuantileSketch& s) {
-  if (s.empty()) return {};
-  std::ostringstream os;
-  s.write_text(os);
-  return os.str();
-}
-
-obs::QuantileSketch sketch_from_text(const std::string& text) {
-  if (text.empty()) return obs::QuantileSketch{};
-  std::istringstream is(text);
-  return obs::QuantileSketch::read_text(is);
-}
-
-/// Writes `text` to `path + ".tmp"` then renames over `path`.
-void replace_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw std::runtime_error("status: cannot open " + tmp);
-    os << text;
-    os.flush();
-    if (!os) throw std::runtime_error("status: write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("status: rename to " + path + ": " +
-                             ec.message());
-  }
-}
-
-}  // namespace
+using json::escape;
+using json::fmt17;
+using obs::sketch_from_text;
+using obs::sketch_text;
 
 void write_status_atomic(const ServeStatus& status, const std::string& path) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kStatusSchema << "\",\n"
      << "  \"pid\": " << status.pid << ",\n"
-     << "  \"state\": \"" << status.state << "\",\n"
+     << "  \"state\": \"" << escape(status.state) << "\",\n"
      << "  \"started\": " << fmt17(status.started_unix) << ",\n"
      << "  \"updated\": " << fmt17(status.updated_unix) << ",\n"
      << "  \"uptime_s\": " << fmt17(status.uptime_s) << ",\n"
@@ -90,15 +38,15 @@ void write_status_atomic(const ServeStatus& status, const std::string& path) {
   for (std::size_t i = 0; i < status.jobs.size(); ++i) {
     const JobStatus& j = status.jobs[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"id\": \"" << escape(j.id)
-       << "\", \"kind\": \"" << j.kind << "\", \"state\": \"" << j.state
-       << "\", \"units_done\": " << j.units_done
+       << "\", \"kind\": \"" << escape(j.kind) << "\", \"state\": \""
+       << escape(j.state) << "\", \"units_done\": " << j.units_done
        << ", \"units_total\": " << j.units_total
        << ", \"elapsed_s\": " << fmt17(j.elapsed_s);
     if (j.eta_s >= 0.0) os << ", \"eta_s\": " << fmt17(j.eta_s);
     os << "}";
   }
   os << (status.jobs.empty() ? "" : "\n  ") << "]\n}\n";
-  replace_file_atomic(path, os.str());
+  durable::replace_atomic(path, os.str());
 }
 
 ServeStatus load_status(const std::string& path) {
@@ -118,20 +66,15 @@ ServeStatus load_status(const std::string& path) {
   s.jobs_failed = static_cast<std::size_t>(doc->number_or("jobs_failed", 0));
   s.queue_depth = static_cast<std::size_t>(doc->number_or("queue_depth", 0));
   if (const json::Value* cache = doc->find("cache"); cache != nullptr) {
-    if (const json::Value* t = cache->find("threshold_table"); t != nullptr) {
-      s.table_cache.hits = static_cast<std::uint64_t>(t->number_or("hits", 0));
-      s.table_cache.misses =
-          static_cast<std::uint64_t>(t->number_or("misses", 0));
-      s.table_cache.entries =
-          static_cast<std::size_t>(t->number_or("entries", 0));
-    }
-    if (const json::Value* t = cache->find("tismdp_solve"); t != nullptr) {
-      s.solve_cache.hits = static_cast<std::uint64_t>(t->number_or("hits", 0));
-      s.solve_cache.misses =
-          static_cast<std::uint64_t>(t->number_or("misses", 0));
-      s.solve_cache.entries =
-          static_cast<std::size_t>(t->number_or("entries", 0));
-    }
+    const auto read = [cache](const char* name, auto& stats) {
+      if (const json::Value* t = cache->find(name); t != nullptr) {
+        stats.hits = static_cast<std::uint64_t>(t->number_or("hits", 0));
+        stats.misses = static_cast<std::uint64_t>(t->number_or("misses", 0));
+        stats.entries = static_cast<std::size_t>(t->number_or("entries", 0));
+      }
+    };
+    read("threshold_table", s.table_cache);
+    read("tismdp_solve", s.solve_cache);
   }
   if (const json::Value* jobs = doc->find("jobs"); jobs != nullptr) {
     for (const json::ValuePtr& jv : jobs->as_array()) {
@@ -150,11 +93,10 @@ ServeStatus load_status(const std::string& path) {
 }
 
 void write_job_summary(const JobSummary& summary, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) throw std::runtime_error("job_summary: cannot open " + path);
+  std::ostringstream os;
   os << "{\n  \"schema\": \"" << kJobSummarySchema << "\",\n"
      << "  \"job\": \"" << escape(summary.job_id) << "\",\n"
-     << "  \"kind\": \"" << summary.kind << "\",\n"
+     << "  \"kind\": \"" << escape(summary.kind) << "\",\n"
      << "  \"units_total\": " << summary.units_total << ",\n"
      << "  \"executed\": " << summary.executed << ",\n"
      << "  \"restored\": " << summary.restored << ",\n"
@@ -170,8 +112,7 @@ void write_job_summary(const JobSummary& summary, const std::string& path) {
      << ",\n"
      << "  \"device_delay_sketch\": \""
      << escape(sketch_text(summary.device_delay_sketch)) << "\"\n}\n";
-  os.flush();
-  if (!os) throw std::runtime_error("job_summary: write failed: " + path);
+  durable::replace_atomic(path, os.str());
 }
 
 JobSummary load_job_summary(const std::string& path) {
@@ -201,6 +142,21 @@ JobSummary load_job_summary(const std::string& path) {
   return s;
 }
 
+std::vector<std::string> job_stems(const std::string& dir) {
+  std::vector<std::string> stems;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const fs::path& p = entry.path();
+    if (p.extension() != ".json") continue;
+    const std::string stem = p.stem().string();
+    if (stem.empty() || stem.front() == '.') continue;
+    stems.push_back(stem);
+  }
+  std::sort(stems.begin(), stems.end());
+  return stems;
+}
+
 obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
   obs::MetricsRegistry reg;
   // Families exist from the first scrape, even with nothing completed yet;
@@ -217,22 +173,11 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
   obs::HistogramMetric& device_delay =
       reg.histogram("serve.device_delay_s", 0.0, 2.0, 200);
 
-  std::error_code ec;
-  std::vector<std::string> stems;
-  for (const auto& entry : fs::directory_iterator(root + "/done", ec)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path p = entry.path();
-    if (p.extension() != ".json" || p.filename().string().front() == '.') {
-      continue;
-    }
-    stems.push_back(p.stem().string());
-  }
-  std::sort(stems.begin(), stems.end());  // pinned fold order by job stem
-
-  for (const std::string& stem : stems) {
+  for (const std::string& stem : job_stems(root + "/done")) {  // sorted
     ++reg.counter("serve.jobs_done");
     const std::string summary_path =
         root + "/done/" + stem + ".out/job_summary.json";
+    std::error_code ec;
     if (!fs::exists(summary_path, ec)) continue;
     const JobSummary s = load_job_summary(summary_path);
     reg.counter("serve.frames_decoded") += s.frames_decoded;
@@ -243,15 +188,7 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
     frame_delay.absorb_sketch(s.frame_delay_sketch, s.frame_delay_sum_s);
     device_delay.absorb_sketch(s.device_delay_sketch, s.device_delay_sum_s);
   }
-
-  for (const auto& entry : fs::directory_iterator(root + "/failed", ec)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path p = entry.path();
-    if (p.extension() != ".json" || p.filename().string().front() == '.') {
-      continue;
-    }
-    ++reg.counter("serve.jobs_failed");
-  }
+  reg.counter("serve.jobs_failed") += job_stems(root + "/failed").size();
   return reg;
 }
 

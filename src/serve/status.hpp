@@ -90,11 +90,16 @@ struct JobSummary {
   double device_delay_sum_s = 0.0;
 };
 
-/// Throws std::runtime_error on I/O failure.
+/// Atomic replace, like the status snapshot.  Throws std::runtime_error on
+/// I/O failure.
 void write_job_summary(const JobSummary& summary, const std::string& path);
 
 /// Throws std::runtime_error when missing/unreadable or on schema mismatch.
 JobSummary load_job_summary(const std::string& path);
+
+/// The job-file stems of `dir` (`<stem>.json`), sorted; dotfiles and
+/// foreign extensions are invisible.  A missing dir yields none.
+std::vector<std::string> job_stems(const std::string& dir);
 
 /// Folds every `done/<stem>.out/job_summary.json` under `root` (sorted
 /// stem order — deterministic in the set of completed jobs alone) plus the

@@ -60,6 +60,28 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(parse("1.e5"), ParseError);
 }
 
+TEST(Json, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
+  EXPECT_THROW((void)parse(std::string(200000, '[')), ParseError);
+  // The limit is generous for every document this repo writes.
+  const std::string ok =
+      std::string(kMaxDepth, '[') + std::string(kMaxDepth, ']');
+  EXPECT_NO_THROW((void)parse(ok));
+  const std::string deep =
+      std::string(kMaxDepth + 1, '[') + std::string(kMaxDepth + 1, ']');
+  EXPECT_THROW((void)parse(deep), ParseError);
+}
+
+TEST(Json, EscapeProducesParseableStringsForEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  const std::string doc = "\"" + escape(all) + "\"";
+  for (char c : doc) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  // The reader maps \u00XX back to the byte; bytes >= 0x80 pass verbatim.
+  EXPECT_EQ(parse(doc)->as_string(), all);
+  EXPECT_EQ(escape("a\"b\\"), "a\\\"b\\\\");
+  EXPECT_EQ(escape("\r\x01"), "\\r\\u0001");
+}
+
 TEST(Json, ParseFileReportsPathOnFailure) {
   EXPECT_THROW(parse_file("/nonexistent/nope.json"), ParseError);
   const std::string path = ::testing::TempDir() + "json_test_doc.json";

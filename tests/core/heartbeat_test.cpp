@@ -79,9 +79,9 @@ TEST(SweepHeartbeat, OneValidLinePerPointWithMonotoneProgress) {
 TEST(SweepHeartbeat, EveryRecordIsFlushedToDiskAsItIsWritten) {
   // Pins the per-record flush in the heartbeat writer.  An external monitor
   // tailing the file must see each record as soon as the point finishes, not
-  // whenever the stream buffer happens to fill.  on_point fires just before
-  // write_heartbeat under the same lock, so at jobs=1 the k-th callback must
-  // find exactly k-1 complete, parseable lines already on disk.  If the
+  // whenever the stream buffer happens to fill.  The unit observer fires
+  // just before the heartbeat line under the same lock, so at jobs=1 the
+  // k-th call must find exactly k-1 complete, parseable lines on disk.  If the
   // std::flush after each record is ever dropped, the early callbacks see an
   // empty file and this fails.
   const std::string path = ::testing::TempDir() + "sweep_heartbeat_flush.jsonl";
@@ -92,7 +92,8 @@ TEST(SweepHeartbeat, EveryRecordIsFlushedToDiskAsItIsWritten) {
   opts.jobs = 1;
   opts.heartbeat_path = path;
   std::size_t calls = 0;
-  opts.on_point = [&](const PointResult&) {
+  opts.on_point_checkpoint = [&](const RunPoint&, const Metrics&,
+                                 const obs::QuantileSketch&) {
     ++calls;
     std::ifstream in(path);
     ASSERT_TRUE(in);
@@ -108,6 +109,32 @@ TEST(SweepHeartbeat, EveryRecordIsFlushedToDiskAsItIsWritten) {
   };
   const SweepResult res = SweepRunner{opts}.run(spec);
   EXPECT_EQ(calls, res.points.size());
+  std::remove(path.c_str());
+}
+
+TEST(SweepHeartbeat, JobIdIsEscapedInEveryRecord) {
+  // A dvs-job-v1 id may contain any character; pasted raw, a quote or a
+  // backslash would make every heartbeat line invalid JSON.
+  const std::string path = ::testing::TempDir() + "sweep_heartbeat_id.jsonl";
+  std::remove(path.c_str());
+  ScenarioSpec spec = tiny_spec();
+  spec.name = "tiny \"hb\"";
+  SweepOptions opts;
+  opts.jobs = 2;
+  opts.heartbeat_path = path;
+  opts.heartbeat_job = "a\"b\\";
+  const SweepResult res = SweepRunner{opts}.run(spec);
+
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    const json::ValuePtr b = json::parse(line);  // throws -> test failure
+    EXPECT_EQ(b->at("job").as_string(), "a\"b\\");
+    EXPECT_EQ(b->at("scenario").as_string(), spec.name);
+    ++lines;
+  }
+  EXPECT_EQ(lines, res.points.size());
   std::remove(path.c_str());
 }
 

@@ -150,8 +150,9 @@ TEST(SweepRunner, FeedsMetricsRegistryAndProgressCallback) {
   SweepOptions opts;
   opts.jobs = 2;
   opts.metrics = &registry;
-  opts.on_point = [&](const PointResult& p) {
-    EXPECT_LT(p.point.index, spec.num_points());
+  opts.on_point_checkpoint = [&](const RunPoint& p, const Metrics&,
+                                 const obs::QuantileSketch&) {
+    EXPECT_LT(p.index, spec.num_points());
     seen.fetch_add(1);
   };
   const SweepResult res = SweepRunner{opts}.run(spec);

@@ -140,6 +140,30 @@ TEST(FleetRunner, HeartbeatOneFlushedRecordPerShardWithMonotoneProgress) {
   std::remove(path.c_str());
 }
 
+TEST(FleetRunner, HeartbeatJobIdIsEscapedInEveryRecord) {
+  const std::string path = ::testing::TempDir() + "fleet_heartbeat_id.jsonl";
+  std::remove(path.c_str());
+  const FleetSpec spec = test_spec(32);
+  FleetOptions opts;
+  opts.jobs = 2;
+  opts.shard_size = 16;
+  opts.heartbeat_path = path;
+  opts.heartbeat_job = "a\"b\\";
+  (void)FleetRunner{opts}.run(spec);
+
+  std::ifstream in(path);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(in, line)) {
+    const json::ValuePtr b = json::parse(line);  // throws -> test failure
+    EXPECT_EQ(b->at("job").as_string(), "a\"b\\");
+    EXPECT_EQ(b->at("fleet").as_string(), spec.name);
+    ++records;
+  }
+  EXPECT_EQ(records, 2u);
+  std::remove(path.c_str());
+}
+
 TEST(FleetRunner, DeviceCountOverrideScalesThePopulation) {
   FleetSpec spec = test_spec(40);
   FleetOptions opts;

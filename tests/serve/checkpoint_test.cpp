@@ -154,6 +154,33 @@ TEST(Checkpoint, TornTrailingLineKeepsIntactPrefix) {
   fs::remove(path);
 }
 
+TEST(Checkpoint, ReopenAfterTornTailKeepsLaterRecords) {
+  // A daemon killed mid-record and restarted: the reopened writer must cut
+  // the torn fragment off, or the next record glues onto it and every
+  // record appended after the restart is invisible to the next restore.
+  const std::string path = temp_path("ckpt_reopen_torn.jsonl");
+  fs::remove(path);
+  {
+    CheckpointWriter w(path, "j", "sweep", 1);
+    w.append_point(0, sample_metrics(), obs::QuantileSketch{});
+    w.append_point(1, sample_metrics(), obs::QuantileSketch{});
+  }
+  {
+    std::ofstream os(path, std::ios::app);
+    os << R"({"point": 2, "metrics": {"duration": 1.5, "tot)";
+  }
+  {
+    CheckpointWriter w(path, "j", "sweep", 1);
+    w.append_point(2, sample_metrics(), sample_sketch(10, 0.01));
+    w.append_point(3, sample_metrics(), obs::QuantileSketch{});
+  }
+  const CheckpointData data = load_checkpoint(path);
+  EXPECT_EQ(data.points.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(data.points.count(i)) << i;
+  EXPECT_EQ(data.points.at(2).delay_sketch.count(), 10u);
+  fs::remove(path);
+}
+
 TEST(Checkpoint, MissingFileLoadsEmpty) {
   const CheckpointData data =
       load_checkpoint(temp_path("ckpt_never_written.jsonl"));

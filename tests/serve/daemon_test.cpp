@@ -120,6 +120,30 @@ TEST(ServeDaemon, DrainProcessesGoodAndBadJobs) {
   EXPECT_NE(text.find("# EOF"), std::string::npos);
 }
 
+TEST(ServeDaemon, HostileNestingFailsOneJobNotTheDrain) {
+  // 200k unmatched '[' must not overflow the parser's stack and take the
+  // whole daemon down: it is one failed job among good ones.
+  TempDir tmp("serve_daemon_nesting");
+  write_file(tmp.path() / "queue/deep.json", std::string(200000, '['));
+  write_file(tmp.path() / "queue/good.json",
+             R"({"schema": "dvs-job-v1", "kind": "run",
+                 "run": {"media": "mp3", "sequence": "A",
+                         "detector": "max"}})");
+  DaemonOptions opts;
+  opts.root = tmp.path().string();
+  opts.jobs = 1;
+  opts.drain = true;
+  EXPECT_EQ(run_daemon(opts), 0);
+  EXPECT_TRUE(fs::exists(tmp.path() / "failed/deep.json"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "failed/deep.error.txt"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/good.json"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/good.out/run.csv"));
+  std::ifstream err(tmp.path() / "failed/deep.error.txt");
+  std::string msg((std::istreambuf_iterator<char>(err)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_NE(msg.find("nesting"), std::string::npos) << msg;
+}
+
 TEST(ServeDaemon, RecoversJobLeftInRunning) {
   TempDir tmp("serve_daemon_recover");
   // A killed daemon leaves the claimed job file in running/; a fresh

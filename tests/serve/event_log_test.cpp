@@ -152,6 +152,31 @@ TEST(EventLog, SingleHeaderAcrossReopen) {
   fs::remove(path);
 }
 
+TEST(EventLog, ControlBytesInErrorTextAreEscaped) {
+  // Exception text is arbitrary bytes: a raw \r or \x01 inside a JSONL
+  // record would reach readers unescaped.  The line must stay pure JSON
+  // and the text must round-trip.
+  const std::string path = temp_path("events_ctrl.jsonl");
+  fs::remove(path);
+  const std::string error = "bad\rline\x01" "end\t\"q\"\\";
+  {
+    EventLog log(path);
+    log.job_failed("job\x02id", error, "");
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  for (char c : bytes) {
+    EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+        << "raw control byte " << static_cast<int>(c);
+  }
+  const std::vector<ServeEvent> events = load_events(path);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].error, error);
+  EXPECT_EQ(events[0].job, "job\x02id");
+  fs::remove(path);
+}
+
 TEST(EventLog, MissingFileLoadsEmpty) {
   EXPECT_TRUE(load_events(temp_path("events_never_written.jsonl")).empty());
 }

@@ -1,6 +1,7 @@
 #include "cli_common.hpp"
 
 #include <cstdlib>
+#include <ctime>
 #include <optional>
 
 #include "policy/governor_factory.hpp"
@@ -137,6 +138,37 @@ void print_metrics(std::FILE* out, const core::Metrics& m) {
                  m.watchdog_escalations, m.watchdog_recoveries,
                  m.time_in_degraded.value());
   }
+}
+
+std::string local_time(double ts, const char* fmt) {
+  const std::time_t t = static_cast<std::time_t>(ts);
+  std::tm tm{};
+  localtime_r(&t, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, fmt, &tm);
+  return buf;
+}
+
+std::string event_detail(const serve::ServeEvent& ev) {
+  if (ev.type == "daemon_start") return "pid " + std::to_string(ev.pid);
+  if (ev.type == "daemon_stop") {
+    return "after " + std::to_string(ev.jobs_processed) + " job" +
+           (ev.jobs_processed == 1 ? "" : "s");
+  }
+  if (ev.type == "checkpoint_flush") {
+    return std::to_string(ev.units_done) + "/" +
+           std::to_string(ev.units_total) + " units durable";
+  }
+  if (ev.type == "job_finished") {
+    return ev.kind + ", " + std::to_string(ev.executed) + " executed, " +
+           std::to_string(ev.restored) + " restored";
+  }
+  if (ev.type == "job_failed") {
+    std::string d = ev.error;
+    if (!ev.flight_dir.empty()) d += " (flight dumps: " + ev.flight_dir + ")";
+    return d;
+  }
+  return {};
 }
 
 }  // namespace dvs::cli

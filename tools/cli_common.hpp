@@ -14,6 +14,7 @@
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "fault/fault_spec.hpp"
+#include "serve/event_log.hpp"
 
 namespace dvs::cli {
 
@@ -100,6 +101,13 @@ core::DpmSpec dpm_spec(const CliOptions& o);
 std::vector<fault::FaultSpec> resolve_faults(const std::string& csv);
 
 void print_metrics(std::FILE* out, const core::Metrics& m);
+
+/// Unix seconds as local wall-clock time in strftime format `fmt`.
+std::string local_time(double ts, const char* fmt);
+
+/// The event-specific fields of a lifecycle event as one line of prose
+/// (what `tail` and `report --serve-root` print after the job id).
+std::string event_detail(const serve::ServeEvent& ev);
 
 // ---- subcommand entry points --------------------------------------------------
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -259,8 +258,11 @@ bool timeline_line_from_trace(const json::Value& ev, TimelineEntry& out) {
   return true;
 }
 
-int load_trace_timeline(const std::string& path,
-                        std::vector<TimelineEntry>& timeline) {
+/// Strict JSONL read (unlike the crash-tolerant durable logs): hands each
+/// non-empty line to `fn`; the first unparsable line is reported with its
+/// number and fails the read (returns 1, like the report sections).
+int read_jsonl(const std::string& path,
+               const std::function<void(json::ValuePtr)>& fn) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "report: cannot open %s\n", path.c_str());
@@ -271,18 +273,25 @@ int load_trace_timeline(const std::string& path,
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    json::ValuePtr ev;
+    json::ValuePtr doc;
     try {
-      ev = json::parse(line);
+      doc = json::parse(line);
     } catch (const json::ParseError& e) {
       std::fprintf(stderr, "report: %s:%zu: %s\n", path.c_str(), lineno,
                    e.what());
       return 1;
     }
-    TimelineEntry entry;
-    if (timeline_line_from_trace(*ev, entry)) timeline.push_back(std::move(entry));
+    fn(std::move(doc));
   }
   return 0;
+}
+
+int load_trace_timeline(const std::string& path,
+                        std::vector<TimelineEntry>& timeline) {
+  return read_jsonl(path, [&timeline](json::ValuePtr ev) {
+    TimelineEntry entry;
+    if (timeline_line_from_trace(*ev, entry)) timeline.push_back(std::move(entry));
+  });
 }
 
 bool timeline_line_from_flight(const obs::FlightRecord& r, TimelineEntry& out) {
@@ -386,24 +395,11 @@ void render_timeline(std::vector<TimelineEntry>& timeline) {
 /// long runs stay readable.  Works for both engine (sim-time t) and sweep
 /// (wall-time t) series.
 int report_telemetry(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "report: cannot open %s\n", path.c_str());
-    return 1;
-  }
   std::vector<json::ValuePtr> snaps;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    try {
-      snaps.push_back(json::parse(line));
-    } catch (const json::ParseError& e) {
-      std::fprintf(stderr, "report: %s:%zu: %s\n", path.c_str(), lineno,
-                   e.what());
-      return 1;
-    }
+  if (read_jsonl(path, [&snaps](json::ValuePtr v) {
+        snaps.push_back(std::move(v));
+      }) != 0) {
+    return 1;
   }
   std::printf("== telemetry snapshots (%s) ==\n", path.c_str());
   if (snaps.empty()) {
@@ -549,60 +545,12 @@ int report_self_profile(const std::string& path) {
 
 // ---- serve daemon tree -----------------------------------------------------
 
-std::string fmt_wall(double ts) {
-  const std::time_t t = static_cast<std::time_t>(ts);
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%d %H:%M:%S", &tm);
-  return buf;
-}
-
-std::string event_detail(const serve::ServeEvent& ev) {
-  if (ev.type == "daemon_start") return "pid " + std::to_string(ev.pid);
-  if (ev.type == "daemon_stop") {
-    return "after " + std::to_string(ev.jobs_processed) + " job" +
-           (ev.jobs_processed == 1 ? "" : "s");
-  }
-  if (ev.type == "checkpoint_flush") {
-    return std::to_string(ev.units_done) + "/" +
-           std::to_string(ev.units_total) + " units durable";
-  }
-  if (ev.type == "job_finished") {
-    return ev.kind + ", " + std::to_string(ev.executed) + " executed, " +
-           std::to_string(ev.restored) + " restored";
-  }
-  if (ev.type == "job_failed") {
-    std::string d = ev.error;
-    if (!ev.flight_dir.empty()) d += " (flight dumps: " + ev.flight_dir + ")";
-    return d;
-  }
-  return {};
-}
-
-/// Sorted file stems of `dir` entries with the given extension; empty when
-/// the directory does not exist (a daemon that never finished a job).
-std::vector<std::string> sorted_stems(const std::string& dir,
-                                      const std::string& ext) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> stems;
-  std::error_code ec;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
-    const fs::path& p = e.path();
-    if (p.extension() == ext && !p.filename().string().empty() &&
-        p.filename().string()[0] != '.') {
-      stems.push_back(p.stem().string());
-    }
-  }
-  std::sort(stems.begin(), stems.end());
-  return stems;
-}
-
 /// Renders the --serve-root section: the daemon's lifecycle event
 /// timeline (dvs-events-v1 — the intact prefix; a SIGKILL-torn tail is
 /// simply absent) and per-job rollups from done/<id>.out/job_summary.json
 /// plus failed/ error files, folded in sorted stem order.
 int report_serve_root(const std::string& root) {
+  constexpr const char* kWall = "%Y-%m-%d %H:%M:%S";
   std::vector<serve::ServeEvent> events;
   try {
     events = serve::load_events(root + "/events.jsonl");
@@ -615,19 +563,19 @@ int report_serve_root(const std::string& root) {
     std::printf("(no lifecycle events at %s/events.jsonl)\n\n", root.c_str());
   } else {
     std::printf("%zu lifecycle events, %s .. %s\n\n", events.size(),
-                fmt_wall(events.front().ts).c_str(),
-                fmt_wall(events.back().ts).c_str());
+                local_time(events.front().ts, kWall).c_str(),
+                local_time(events.back().ts, kWall).c_str());
     TextTable t{"event timeline"};
     t.set_header({"seq", "time", "event", "job", "detail"});
     for (const serve::ServeEvent& ev : events) {
-      t.add_row({std::to_string(ev.seq), fmt_wall(ev.ts), ev.type, ev.job,
+      t.add_row({std::to_string(ev.seq), local_time(ev.ts, kWall), ev.type, ev.job,
                  event_detail(ev)});
     }
     t.print();
     std::printf("\n");
   }
 
-  const std::vector<std::string> done = sorted_stems(root + "/done", ".json");
+  const std::vector<std::string> done = serve::job_stems(root + "/done");
   if (!done.empty()) {
     TextTable t{"completed jobs"};
     t.set_header({"job", "kind", "units", "restored", "frames", "dropped",
@@ -662,8 +610,7 @@ int report_serve_root(const std::string& root) {
     std::printf("\n");
   }
 
-  const std::vector<std::string> failed =
-      sorted_stems(root + "/failed", ".json");
+  const std::vector<std::string> failed = serve::job_stems(root + "/failed");
   if (!failed.empty()) {
     TextTable t{"failed jobs"};
     t.set_header({"job", "error"});

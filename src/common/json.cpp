@@ -3,8 +3,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 namespace dvs::json {
 
@@ -265,6 +267,13 @@ ValuePtr parse(const std::string& text) { return Parser(text).parse_document(); 
 ValuePtr parse_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ParseError("json: cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > kMaxFileBytes) {
+    throw ParseError("json: " + path + " is " + std::to_string(size) +
+                     " bytes, over the " + std::to_string(kMaxFileBytes) +
+                     "-byte limit");
+  }
   std::ostringstream buf;
   buf << in.rdbuf();
   try {

@@ -4,8 +4,9 @@
 // escapes), doubles, bools, null.  No external dependencies — the container
 // image is frozen.
 //
-// Nesting is bounded (kMaxDepth): a hostile document fails with ParseError
-// instead of exhausting the stack.
+// Nesting is bounded (kMaxDepth) and so is the file size parse_file reads
+// (kMaxFileBytes): a hostile document fails with ParseError instead of
+// exhausting the stack or the memory.
 //
 // The reader is the bulk of this file; JSON writing stays hand-rolled at
 // the emission sites where the format lives next to the data, but every
@@ -79,6 +80,11 @@ inline constexpr int kMaxDepth = 256;
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 ValuePtr parse(const std::string& text);
+
+/// Largest file parse_file() reads.  Nothing this repo writes comes near
+/// it; a bigger file (a hostile or runaway job file in a serve queue) fails
+/// with ParseError before any of it is read into memory.
+inline constexpr std::uintmax_t kMaxFileBytes = 64u << 20;
 
 /// Reads and parses a whole file; ParseError mentions the path.
 ValuePtr parse_file(const std::string& path);

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "fault/trace_transforms.hpp"
@@ -192,6 +191,12 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     cpu_assets.push_back(build_cpu_asset(name));
   }
 
+  // Shared assets and oracle solves are built on the worker pool, each
+  // into its own key-indexed slot; every build depends only on its key's
+  // seeds, so the slots hold the same bytes at any --jobs.
+  const std::size_t num_asset_keys = spec.cpus.size() * spec.workloads.size() *
+                                     static_cast<std::size_t>(spec.replicates) *
+                                     spec.faults.size();
   const auto asset_key = [&](const RunPoint& p) {
     return ((p.cpu_idx * spec.workloads.size() + p.workload_idx) *
                 static_cast<std::size_t>(spec.replicates) +
@@ -199,36 +204,47 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
                spec.faults.size() +
            p.fault_idx;
   };
-  std::unordered_map<std::size_t, WorkloadAsset> workload_assets;
-  for (const RunPoint& p : points) {
-    const std::size_t key = asset_key(p);
-    if (workload_assets.find(key) == workload_assets.end()) {
-      workload_assets.emplace(
-          key, build_workload_asset(p.workload, cpu_assets[p.cpu_idx].cpu,
-                                    p.trace_seed, p.faults, p.fault_seed));
+  std::vector<WorkloadAsset> workload_assets(num_asset_keys);
+  {
+    // The first point of each key carries the key's seeds and fault spec.
+    std::vector<const RunPoint*> first(num_asset_keys, nullptr);
+    for (const RunPoint& p : points) {
+      const RunPoint*& slot = first[asset_key(p)];
+      if (slot == nullptr) slot = &p;
     }
+    parallel_for(num_asset_keys, out.jobs, [&](std::size_t key) {
+      const RunPoint* p = first[key];
+      if (p == nullptr) return;
+      workload_assets[key] =
+          build_workload_asset(p->workload, cpu_assets[p->cpu_idx].cpu,
+                               p->trace_seed, p->faults, p->fault_seed);
+    });
   }
 
-  // ---- offline-optimal oracle, solved serially before dispatch ----------
+  // ---- offline-optimal oracle, solved before dispatch -------------------
   // One taut-string solve per (workload asset, delay target): every policy
-  // and detector on the same trace divides by the same lower bound, and
-  // because the solve happens here — never on a worker — the ratios are
+  // and detector on the same trace divides by the same lower bound.  Each
+  // solve fills its own slot before any point runs, so the ratios are
   // byte-identical at any --jobs.
-  std::map<std::pair<std::size_t, double>, double> oracle_energy;
+  std::map<std::pair<std::size_t, double>, std::size_t> oracle_slot;
+  std::vector<double> oracle_energy;
   if (spec.oracle) {
+    std::vector<const RunPoint*> solves;
     for (const RunPoint& p : points) {
       const auto key = std::make_pair(asset_key(p), p.delay_target.value());
-      if (oracle_energy.find(key) != oracle_energy.end()) continue;
-      const WorkloadAsset& asset = workload_assets.at(key.first);
+      if (oracle_slot.emplace(key, solves.size()).second) solves.push_back(&p);
+    }
+    oracle_energy.resize(solves.size());
+    parallel_for(solves.size(), out.jobs, [&](std::size_t i) {
+      const RunPoint& p = *solves[i];
       std::vector<policy::OracleJob> jobs;
-      for (const PlaybackItem& item : *asset.items) {
+      for (const PlaybackItem& item : *workload_assets[asset_key(p)].items) {
         policy::OptimalOracle::append_jobs(item.trace, item.decoder,
                                            p.delay_target, jobs);
       }
       const policy::OptimalOracle oracle{cpu_assets[p.cpu_idx].cpu};
-      oracle_energy.emplace(
-          key, oracle.solve(std::move(jobs)).discrete_energy.value());
-    }
+      oracle_energy[i] = oracle.solve(std::move(jobs)).discrete_energy.value();
+    });
   }
 
   // ---- execute ----------------------------------------------------------
@@ -255,7 +271,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   kind.execute = [&](std::size_t i, RestoredPoint& part) {
     const RunPoint& p = points[i];
     const CpuAsset& cpu = cpu_assets[p.cpu_idx];
-    const WorkloadAsset& asset = workload_assets.at(asset_key(p));
+    const WorkloadAsset& asset = workload_assets[asset_key(p)];
     RunOptions opts = assemble_run_options(p, cpu, asset.idle, detector_cfg);
     if (collect) opts.metrics = point_regs[i].get();
     if (opts_.configure_run) opts_.configure_run(p, opts);
@@ -306,10 +322,10 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   for (std::size_t i = 0; i < points.size(); ++i) {
     PointResult pr{std::move(points[i]), std::move(parts[i].metrics)};
     if (spec.oracle) {
-      const auto it = oracle_energy.find(
-          std::make_pair(asset_key(pr.point), pr.point.delay_target.value()));
-      if (it != oracle_energy.end() && it->second > 0.0) {
-        pr.competitive_ratio = pr.metrics.cpu_energy().value() / it->second;
+      const double bound = oracle_energy[oracle_slot.at(std::make_pair(
+          asset_key(pr.point), pr.point.delay_target.value()))];
+      if (bound > 0.0) {
+        pr.competitive_ratio = pr.metrics.cpu_energy().value() / bound;
       }
     }
     out.points.push_back(std::move(pr));

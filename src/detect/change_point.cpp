@@ -20,6 +20,7 @@ ChangePointDetector::ChangePointDetector(const ChangePointConfig& cfg)
 
 void ChangePointDetector::reset(Hertz initial) {
   window_.clear();
+  fill_sum_ = 0.0;
   samples_since_check_ = 0;
   settling_ = 0;
   rate_ = initial;
@@ -32,15 +33,17 @@ Hertz ChangePointDetector::on_sample(Seconds now, Seconds interval) {
   DVS_CHECK_MSG(interval.value() > 0.0, "ChangePointDetector: non-positive interval");
   const ChangePointConfig& cfg = thresholds_->config();
 
+  // Until the window first evicts, fill_sum_ is the in-order left fold of
+  // every sample it holds — the sum the warm-up and settling estimates
+  // need, kept in O(1) per sample.
+  if (window_.size() < window_.capacity()) fill_sum_ += interval.value();
   window_.push(interval.value());
   if (settling_ < cfg.window) ++settling_;
 
   if (!warmed_up_) {
     // No prior estimate: bootstrap the rate from the first min_tail samples.
     if (window_.size() >= cfg.min_tail) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < window_.size(); ++j) sum += window_.at(j);
-      rate_ = Hertz{static_cast<double>(window_.size()) / sum};
+      rate_ = Hertz{static_cast<double>(window_.size()) / fill_sum_};
       warmed_up_ = true;
     }
     return rate_;
@@ -53,12 +56,13 @@ Hertz ChangePointDetector::on_sample(Seconds now, Seconds interval) {
   // constant — settling briefly after each change and never drifting in
   // between (the 3% deadband keeps the settling monotone-ish rather than
   // jittery).
+  //
+  // While settling, the window holds exactly the post-change samples
+  // (settling_ == window_.size() < m: both restart together at a reset or a
+  // declared change and grow in step), so their sum is fill_sum_.
   if (settling_ < cfg.window) {
-    const std::size_t n = std::min(settling_, window_.size());
-    double sum = 0.0;
-    for (std::size_t j = window_.size() - n; j < window_.size(); ++j) {
-      sum += window_.at(j);
-    }
+    const std::size_t n = settling_;
+    const double sum = fill_sum_;
     if (n >= cfg.min_tail && sum > 0.0) {
       const double refined = static_cast<double>(n) / sum;
       if (std::abs(refined - rate_.value()) > 0.03 * rate_.value()) {
@@ -110,14 +114,15 @@ bool ChangePointDetector::detect(Seconds now) {
   }
 
   // Scan every candidate ratio; require the best margin to clear the
-  // scan-level calibration (see ThresholdTable::scan_margin).
+  // scan-level calibration (see ThresholdTable::scan_margin).  ln r and the
+  // ratio's threshold are the table's precomputed scan records.
   double best_margin = -std::numeric_limits<double>::infinity();
   double best_stat = -std::numeric_limits<double>::infinity();
   double best_threshold = 0.0;
-  double best_ratio = 1.0;
   std::size_t best_k = 0;
-  for (double r : thresholds_->ratios()) {
-    const double log_r = std::log(r);
+  for (const ScanRatio& rec : thresholds_->scan()) {
+    const double r = rec.ratio;
+    const double log_r = rec.log_ratio;
     double stat = -std::numeric_limits<double>::infinity();
     std::size_t k = 0;
     // Candidates are stored in scan (descending-position) order with a
@@ -131,13 +136,11 @@ bool ChangePointDetector::detect(Seconds now) {
         k = cand_pos_[c];
       }
     }
-    const double threshold = thresholds_->threshold_for_ratio(r);
-    const double margin = stat - threshold;
+    const double margin = stat - rec.threshold;
     if (margin > best_margin) {
       best_margin = margin;
       best_stat = stat;
-      best_threshold = threshold;
-      best_ratio = r;
+      best_threshold = rec.threshold;
       best_k = k;
     }
   }
@@ -163,10 +166,10 @@ bool ChangePointDetector::detect(Seconds now) {
   DVS_CHECK(tail_len >= cfg.min_tail && raw_tail > 0.0);
   rate_ = Hertz{static_cast<double>(tail_len) / raw_tail};
   window_.drop_front(best_k);
+  fill_sum_ = raw_tail;  // the same in-order fold over the kept samples
   settling_ = window_.size();
   ++changes_;
   change_times_.push_back(now);
-  (void)best_ratio;
   if (has_decision_observer()) {
     notify_decision(now, DetectorDecisionInfo{
                              best_stat,

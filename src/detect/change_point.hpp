@@ -14,7 +14,12 @@
 //
 // "Only the sum of interarrival (or decoding) times needs to be updated
 // upon every arrival" — the suffix-sum evaluation in
-// max_log_likelihood_ratio is exactly that computation.
+// max_log_likelihood_ratio is exactly that computation.  The per-ratio
+// constants of the test (ln r and the ratio's threshold) are computed once,
+// when the ThresholdTable is built, and read from ThresholdTable::scan();
+// the warm-up and settling estimates read a running sum.  No check takes a
+// logarithm, and every statistic stays bit-identical to the reference
+// evaluation through max_log_likelihood_ratio and threshold_for_ratio.
 #pragma once
 
 #include <cstddef>
@@ -101,6 +106,10 @@ class ChangePointDetector final : public RateDetector {
 
   std::shared_ptr<const ThresholdTable> thresholds_;
   Window window_;                     ///< last m raw interval samples
+  /// In-order sum of window_'s samples, restarted at every reset and
+  /// declared change; stale once the window evicts, when warm-up and
+  /// settling are over and nothing reads it.
+  double fill_sum_ = 0.0;
   std::size_t samples_since_check_ = 0;
   // Scratch reused across detect() calls (no steady-state allocation):
   // normalized suffix sums, tail lengths, and window positions of the

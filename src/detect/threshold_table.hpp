@@ -55,6 +55,14 @@ struct ChangePointConfig {
 double max_log_likelihood_ratio(const std::vector<double>& normalized_window,
                                 double ratio, const ChangePointConfig& cfg);
 
+/// One ratio the on-line detector scans, with the constants its test needs:
+/// ln(ratio) and threshold_for_ratio(ratio), computed once per table.
+struct ScanRatio {
+  double ratio = 1.0;
+  double log_ratio = 0.0;
+  double threshold = 0.0;
+};
+
 /// Table of detection thresholds indexed by rate ratio.
 class ThresholdTable {
  public:
@@ -75,6 +83,10 @@ class ThresholdTable {
   /// All candidate ratios the detector scans (grid powers and reciprocals).
   [[nodiscard]] const std::vector<double>& ratios() const { return ratios_; }
 
+  /// ratios() with their log and threshold, in the same order: what
+  /// ChangePointDetector reads every check instead of re-deriving them.
+  [[nodiscard]] const std::vector<ScanRatio>& scan() const { return scan_; }
+
   /// The characterized (ratio, threshold) pairs, ascending by ratio.
   [[nodiscard]] const std::vector<std::pair<double, double>>& entries() const {
     return entries_;
@@ -86,6 +98,7 @@ class ThresholdTable {
   ChangePointConfig cfg_;
   std::vector<std::pair<double, double>> entries_;  ///< (ratio, threshold)
   std::vector<double> ratios_;
+  std::vector<ScanRatio> scan_;  ///< one record per ratios_ entry
   double scan_margin_ = 0.0;
 };
 

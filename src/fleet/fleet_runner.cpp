@@ -76,24 +76,25 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
   const std::size_t W = spec.workloads.size();
   const std::size_t P = spec.policies.size();
   const std::size_t V = spec.trace_variants;
+  // Built on the worker pool, each into its own slot (the sweep's pattern).
   std::vector<core::WorkloadAsset> assets(W * V * 2);
   std::vector<Seconds> delay_targets(W);
   for (std::size_t w = 0; w < W; ++w) {
-    const core::WorkloadSpec& ws = spec.workloads[w].workload;
     delay_targets[w] = spec.delay_target.value() > 0.0
                            ? spec.delay_target
-                           : ws.default_delay_target();
-    for (std::size_t v = 0; v < V; ++v) {
-      const std::uint64_t trace_seed = fleet_trace_seed(spec, w, v);
-      assets[(w * V + v) * 2] = core::build_workload_asset(
-          ws, cpu.cpu, trace_seed, fault::FaultSpec{}, 0);
-      if (wave_fault != nullptr) {
-        assets[(w * V + v) * 2 + 1] = core::build_workload_asset(
-            ws, cpu.cpu, trace_seed, *wave_fault,
-            fleet_fault_seed(spec, w, v));
-      }
-    }
+                           : spec.workloads[w].workload.default_delay_target();
   }
+  const std::size_t kinds = wave_fault != nullptr ? 2 : 1;
+  core::parallel_for(W * V * kinds, out.jobs, [&](std::size_t i) {
+    const std::size_t wv = i / kinds;
+    const std::size_t w = wv / V;
+    const std::size_t v = wv % V;
+    const bool waved = i % kinds == 1;
+    assets[wv * 2 + (waved ? 1 : 0)] = core::build_workload_asset(
+        spec.workloads[w].workload, cpu.cpu, fleet_trace_seed(spec, w, v),
+        waved ? *wave_fault : fault::FaultSpec{},
+        waved ? fleet_fault_seed(spec, w, v) : 0);
+  });
 
   // ---- population accumulators ------------------------------------------
   const std::size_t shard_size = std::max<std::size_t>(1, opts_.shard_size);

@@ -19,6 +19,10 @@ FrequencyPolicy::FrequencyPolicy(const hw::Sa1100& cpu,
   DVS_CHECK_MSG(service_cv2_ >= 0.0, "FrequencyPolicy: cv2 must be >= 0");
   DVS_CHECK_MSG(curve_.strictly_monotone() && curve_.increasing(),
                 "FrequencyPolicy: performance curve must be strictly increasing");
+  step_perf_.reserve(cpu_->num_steps());
+  for (std::size_t s = 0; s < cpu_->num_steps(); ++s) {
+    step_perf_.push_back(curve_(cpu_->frequency_at(s).value()));
+  }
 }
 
 std::size_t FrequencyPolicy::select_step(Hertz arrival_rate,
@@ -45,10 +49,9 @@ std::size_t FrequencyPolicy::select_step(Hertz arrival_rate,
   if (required_ratio >= 1.0) return top;  // saturated: run flat out
 
   for (std::size_t s = 0; s <= top; ++s) {
-    const double perf = curve_(cpu_->frequency_at(s).value());
     // Relative epsilon: a step whose performance matches the requirement to
     // within rounding is sufficient.
-    if (perf >= required_ratio * (1.0 - 1e-9)) return s;
+    if (step_perf_[s] >= required_ratio * (1.0 - 1e-9)) return s;
   }
   return top;
 }

@@ -15,6 +15,8 @@
 // automatically — hw::SmartBadge couples them.
 #pragma once
 
+#include <vector>
+
 #include "common/piecewise_linear.hpp"
 #include "common/units.hpp"
 #include "hw/sa1100.hpp"
@@ -70,6 +72,9 @@ class FrequencyPolicy {
  private:
   const hw::Sa1100* cpu_;
   PiecewiseLinear curve_;
+  /// curve_(frequency of step s) for every step, computed once: the values
+  /// select_step compares against on every governor recompute.
+  std::vector<double> step_perf_;
   Seconds target_delay_;
   double service_cv2_;
 };

@@ -11,31 +11,24 @@ DvsGovernor::DvsGovernor(hw::SmartBadge& badge,
                          FrequencyPolicy policy,
                          detect::RateDetectorPtr arrival_detector,
                          detect::RateDetectorPtr service_detector)
-    : DvsGovernor(badge, decoder, std::move(policy), std::move(arrival_detector),
-                  std::move(service_detector), /*adaptive=*/true) {
+    : DvsGovernor(badge, decoder, std::move(policy)) {
+  arrival_detector_ = std::move(arrival_detector);
+  service_detector_ = std::move(service_detector);
   DVS_CHECK_MSG(arrival_detector_ && service_detector_,
                 "DvsGovernor: adaptive governor needs both detectors");
 }
 
 DvsGovernor::DvsGovernor(hw::SmartBadge& badge,
                          const workload::DecoderModel& decoder,
-                         FrequencyPolicy policy,
-                         detect::RateDetectorPtr arrival_detector,
-                         detect::RateDetectorPtr service_detector, bool adaptive)
-    : Governor(badge),
-      decoder_(&decoder),
-      policy_(std::move(policy)),
-      arrival_detector_(std::move(arrival_detector)),
-      service_detector_(std::move(service_detector)) {
-  (void)adaptive;
-}
+                         FrequencyPolicy policy)
+    : Governor(badge), decoder_(&decoder), policy_(std::move(policy)) {}
 
 std::unique_ptr<DvsGovernor> DvsGovernor::max_performance(
     hw::SmartBadge& badge, const workload::DecoderModel& decoder,
     FrequencyPolicy policy) {
   // Private ctor: make_unique cannot reach it.
-  return std::unique_ptr<DvsGovernor>(new DvsGovernor(
-      badge, decoder, std::move(policy), nullptr, nullptr, /*adaptive=*/false));
+  return std::unique_ptr<DvsGovernor>(
+      new DvsGovernor(badge, decoder, std::move(policy)));
 }
 
 Seconds DvsGovernor::initialize(Hertz arrival_rate, Hertz service_rate_at_max,

@@ -80,9 +80,9 @@ class DvsGovernor : public Governor {
   }
 
  private:
+  /// The detector-less governor behind max_performance().
   DvsGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,
-              FrequencyPolicy policy, detect::RateDetectorPtr arrival_detector,
-              detect::RateDetectorPtr service_detector, bool adaptive);
+              FrequencyPolicy policy);
 
   void recompute();
 

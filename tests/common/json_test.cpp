@@ -94,5 +94,26 @@ TEST(Json, ParseFileReportsPathOnFailure) {
   std::remove(path.c_str());
 }
 
+TEST(Json, ParseFileRefusesFilesOverTheSizeLimit) {
+  const std::string path = ::testing::TempDir() + "json_test_big.json";
+  // A valid document padded with whitespace to one byte over the limit;
+  // sparse, so the padding costs no disk.  (Sparse bytes read as NULs,
+  // which the parser would reject too: the message tells the causes apart.)
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "{}";
+    os.seekp(static_cast<std::streamoff>(kMaxFileBytes));
+    os.put(' ');
+  }
+  try {
+    (void)parse_file(path);
+    ADD_FAILURE() << "oversized file parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("limit"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dvs::json

@@ -42,6 +42,12 @@ TEST(TableCache, CachedTableIsBitwiseEqualToFreshCharacterization) {
   }
   EXPECT_EQ(cached->scan_margin(), fresh.scan_margin());
   EXPECT_EQ(cached->ratios(), fresh.ratios());
+  ASSERT_EQ(cached->scan().size(), fresh.scan().size());
+  for (std::size_t i = 0; i < fresh.scan().size(); ++i) {
+    EXPECT_EQ(cached->scan()[i].ratio, fresh.scan()[i].ratio) << i;
+    EXPECT_EQ(cached->scan()[i].log_ratio, fresh.scan()[i].log_ratio) << i;
+    EXPECT_EQ(cached->scan()[i].threshold, fresh.scan()[i].threshold) << i;
+  }
 }
 
 TEST(TableCache, DistinctConfigsDoNotCollide) {

@@ -4,6 +4,8 @@
 
 #include <tuple>
 
+#include "hw/cpu_catalog.hpp"
+#include "queue/mg1.hpp"
 #include "queue/mm1.hpp"
 #include "workload/trace.hpp"
 
@@ -130,6 +132,59 @@ TEST(FrequencyPolicy, RejectsBadConstruction) {
                                PiecewiseLinear{{59.0, 0.5}, {100.0, 0.4}, {221.25, 1.0}},
                                seconds(0.1)),
                std::logic_error);
+}
+
+// select_step reads a per-step performance table built at construction;
+// this is the curve-evaluating selection it replaced, step for step.
+std::size_t reference_select_step(const FrequencyPolicy& p, Hertz arrival,
+                                  Hertz service_at_max, double buffered) {
+  const std::size_t top = p.cpu().num_steps() - 1;
+  if (arrival.value() <= 0.0 || service_at_max.value() <= 0.0) return top;
+  const Seconds d = p.target_delay();
+  Hertz required =
+      p.service_cv2() == 1.0
+          ? queue::Mm1::required_service_rate(arrival, d)
+          : queue::Mg1::required_service_rate(arrival, d, p.service_cv2());
+  const double excess = buffered - (arrival.value() * d.value() + 1.0);
+  if (excess > 0.0) required += Hertz{excess / (10.0 * d.value())};
+  const double ratio = required.value() / service_at_max.value();
+  if (ratio >= 1.0) return top;
+  for (std::size_t s = 0; s <= top; ++s) {
+    const double perf = p.performance_curve()(p.cpu().frequency_at(s).value());
+    if (perf >= ratio * (1.0 - 1e-9)) return s;
+  }
+  return top;
+}
+
+TEST(FrequencyPolicy, CachedSelectionMatchesCurveEvaluation) {
+  const hw::Sa1100 cpus[] = {hw::smartbadge_sa1100(), hw::crusoe_like(),
+                             hw::frequency_only_sa1100()};
+  std::size_t checked = 0;
+  for (const hw::Sa1100& c : cpus) {
+    const workload::DecoderModel decoders[] = {
+        workload::reference_mp3_decoder(c.max_frequency()),
+        workload::reference_mpeg_decoder(c.max_frequency())};
+    for (const workload::DecoderModel& dec : decoders) {
+      for (double cv2 : {1.0, 0.25, 0.0}) {
+        for (double delay : {0.05, 0.1, 0.5}) {
+          const FrequencyPolicy p{c, dec.performance_curve(c), seconds(delay),
+                                  cv2};
+          for (double lambda_u = -1.0; lambda_u <= 120.0; lambda_u += 0.73) {
+            for (double mu : {0.0, 15.0, 38.3, 61.0, 100.0, 180.0, 1000.0}) {
+              for (double q : {0.0, 1.0, 2.5, 7.0, 30.0, 400.0}) {
+                ASSERT_EQ(p.select_step(hertz(lambda_u), hertz(mu), q),
+                          reference_select_step(p, hertz(lambda_u), hertz(mu), q))
+                    << "lambda_u " << lambda_u << " mu " << mu << " q " << q
+                    << " cv2 " << cv2 << " d " << delay;
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 }  // namespace

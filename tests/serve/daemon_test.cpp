@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "serve/daemon.hpp"
 #include "serve/event_log.hpp"
 #include "serve/status.hpp"
@@ -142,6 +143,37 @@ TEST(ServeDaemon, HostileNestingFailsOneJobNotTheDrain) {
   std::string msg((std::istreambuf_iterator<char>(err)),
                   std::istreambuf_iterator<char>());
   EXPECT_NE(msg.find("nesting"), std::string::npos) << msg;
+}
+
+TEST(ServeDaemon, OversizedJobFileFailsAloneBeforeItIsRead) {
+  // A job file past json::kMaxFileBytes is refused on its size alone (it is
+  // sparse here: the size costs no disk), and the rest of the drain runs.
+  TempDir tmp("serve_daemon_oversized");
+  fs::create_directories(tmp.path() / "queue");
+  {
+    std::ofstream os(tmp.path() / "queue/huge.json", std::ios::binary);
+    os.seekp(static_cast<std::streamoff>(json::kMaxFileBytes));
+    os.put('}');
+  }
+  ASSERT_GT(fs::file_size(tmp.path() / "queue/huge.json"), json::kMaxFileBytes);
+  write_file(tmp.path() / "queue/good.json",
+             R"({"schema": "dvs-job-v1", "kind": "run",
+                 "run": {"media": "mp3", "sequence": "A",
+                         "detector": "max"}})");
+  DaemonOptions opts;
+  opts.root = tmp.path().string();
+  opts.jobs = 1;
+  opts.drain = true;
+  EXPECT_EQ(run_daemon(opts), 0);
+  EXPECT_TRUE(fs::exists(tmp.path() / "failed/huge.json"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "failed/huge.error.txt"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/good.json"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/good.out/run.csv"));
+  EXPECT_TRUE(fs::is_empty(tmp.path() / "queue"));
+  std::ifstream err(tmp.path() / "failed/huge.error.txt");
+  std::string msg((std::istreambuf_iterator<char>(err)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_NE(msg.find("limit"), std::string::npos) << msg;
 }
 
 TEST(ServeDaemon, RecoversJobLeftInRunning) {

@@ -40,6 +40,7 @@
 #include "obs/attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/run_probe.hpp"
 #include "obs/telemetry/snapshotter.hpp"
 #include "obs/telemetry/span_profiler.hpp"
 #include "obs/trace_recorder.hpp"
@@ -190,19 +191,9 @@ class Engine {
   void note_frequency(Seconds now);
   Metrics collect(Seconds end);
 
-  // ---- observability ------------------------------------------------------
-  [[nodiscard]] bool tracing() const {
-    return cfg_.trace != nullptr && cfg_.trace->active();
-  }
-  [[nodiscard]] bool observing() const {
-    return tracing() || cfg_.metrics != nullptr;
-  }
-  void install_component_observers();
-  void install_accrual_observers();
-  void wire_governor_observability(policy::Governor& gov);
-  void record_detector_sample(const policy::Governor& gov,
-                              std::string_view stream, Seconds now,
-                              Seconds interval, Hertz estimate);
+  /// A detector for the governor factory, its decisions wired to the
+  /// probe when a channel records them.
+  detect::RateDetectorPtr make_rate_detector(bool arrival);
   void fill_registry(const Metrics& m);
 
   EngineConfig cfg_;
@@ -212,6 +203,7 @@ class Engine {
   sim::Simulator sim_;
   queue::FrameBuffer buffer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
+  std::unique_ptr<obs::RunProbe> probe_;  ///< null when no channel is on
   std::unique_ptr<dpm::PowerManager> pm_;
   std::unique_ptr<fault::HwFaultInjector> injector_;
   // Indexed by media_index(): governor_for() on the per-frame path is an
@@ -247,13 +239,8 @@ class Engine {
   std::vector<std::pair<double, double>> power_trace_;
   bool ran_ = false;
 
-  // Observability state (null when metrics are off).
-  obs::HistogramMetric* delay_hist_ = nullptr;
-  obs::HistogramMetric* decode_hist_ = nullptr;
+  // Null when metrics are off.  Not in the probe: it needs rate_change_at_.
   obs::HistogramMetric* detect_latency_hist_ = nullptr;
-  /// Frame delay as a multiple of the target — the degradation fingerprint
-  /// (mass above 1.0 = delay-target violations).
-  obs::HistogramMetric* delay_violation_hist_ = nullptr;
   /// Time of the last workload rate change (item start / item switch) not
   /// yet acknowledged by a detector — feeds the detection-latency histogram.
   std::optional<Seconds> rate_change_at_;

@@ -12,14 +12,6 @@ PowerManager::PowerManager(sim::Simulator& sim, hw::SmartBadge& badge,
   DVS_CHECK_MSG(policy_ != nullptr, "PowerManager: null policy");
 }
 
-void PowerManager::set_observability(obs::TraceRecorder* trace,
-                                     obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  idle_hist_ = metrics == nullptr
-                   ? nullptr
-                   : &metrics->histogram("dpm.idle_period_s", 0.0, 120.0, 240);
-}
-
 void PowerManager::cancel_pending() {
   for (sim::EventId id : pending_) sim_->cancel(id);
   pending_.clear();
@@ -30,18 +22,7 @@ void PowerManager::on_idle_enter(Seconds now,
   DVS_CHECK_MSG(!asleep(), "PowerManager: idle entry while asleep");
   ++idle_periods_;
   idle_started_at_ = now;
-  if (tracing()) {
-    trace_->record(now.value(), obs::DpmIdleEnter{
-                                    idle_length_hint ? idle_length_hint->value()
-                                                     : -1.0});
-  }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::DpmIdleEnter, 0,
-                    static_cast<float>(idle_length_hint
-                                           ? idle_length_hint->value()
-                                           : -1.0),
-                    0.0F);
-  }
+  if (probe_ != nullptr) probe_->dpm_idle_enter(now, idle_length_hint);
   SleepPlan plan = policy_->plan(idle_length_hint, rng_);
   plan.validate();
   for (const SleepStep& step : plan.steps) {
@@ -53,15 +34,7 @@ void PowerManager::on_idle_enter(Seconds now,
       badge_->set_all(target, sim_->now());
       depth_ = target;
       ++sleeps_;
-      if (tracing()) {
-        trace_->record(sim_->now().value(),
-                       obs::DpmSleepCommand{hw::to_string(target)});
-      }
-      if (ledger_ != nullptr) ledger_->set_cause(obs::Cause::DpmSleep);
-      if (flight_ != nullptr) {
-        flight_->record(sim_->now().value(), obs::FlightEventType::DpmSleep,
-                        static_cast<std::uint16_t>(target), 0.0F, 0.0F);
-      }
+      if (probe_ != nullptr) probe_->dpm_sleep(sim_->now(), target);
     }));
   }
 }
@@ -73,7 +46,7 @@ Seconds PowerManager::on_request(Seconds now) {
     // Feedback for adaptive policies: the idle period just ended.
     idle_length = now - *idle_started_at_;
     policy_->on_idle_period_end(idle_length);
-    if (idle_hist_ != nullptr) idle_hist_->add(idle_length.value());
+    if (probe_ != nullptr) probe_->idle_period_end(idle_length);
     idle_started_at_.reset();
   }
   if (!asleep()) return now;
@@ -84,23 +57,14 @@ Seconds PowerManager::on_request(Seconds now) {
   // transition that follows is charged to DpmWakeup.
   const hw::PowerState was = depth_;
   badge_->set_all(hw::PowerState::Idle, now);
-  if (ledger_ != nullptr) ledger_->set_cause(obs::Cause::DpmWakeup);
+  if (probe_ != nullptr) probe_->dpm_wakeup_begin();
   Seconds ready = badge_->latest_wakeup_completion(now);
   if (wakeup_fault_hook_) ready += wakeup_fault_hook_(now);
   const Seconds delay = ready - now;
   total_wakeup_delay_ += delay;
   ++wakeups_;
   depth_ = hw::PowerState::Idle;
-  if (tracing()) {
-    trace_->record(now.value(), obs::DpmWakeup{hw::to_string(was), delay.value(),
-                                               idle_length.value()});
-  }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::DpmWakeup,
-                    static_cast<std::uint16_t>(was),
-                    static_cast<float>(delay.value()),
-                    static_cast<float>(idle_length.value()));
-  }
+  if (probe_ != nullptr) probe_->dpm_wakeup(now, was, delay, idle_length);
   if (ready > now) {
     sim_->schedule_at(ready, [this] { badge_->finish_wakeups(sim_->now()); });
   } else {

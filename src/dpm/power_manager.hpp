@@ -14,10 +14,7 @@
 #include "common/rng.hpp"
 #include "dpm/policy.hpp"
 #include "hw/smartbadge.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/run_probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace dvs::dpm {
@@ -47,19 +44,9 @@ class PowerManager {
 
   [[nodiscard]] const DpmPolicy& policy() const { return *policy_; }
 
-  /// Attaches observability: trace events for idle-enter / sleep / wakeup,
-  /// and an idle-period-length histogram in the registry.  Either pointer
-  /// may be null.
-  void set_observability(obs::TraceRecorder* trace, obs::MetricsRegistry* metrics);
-
-  /// Attaches the attribution ledger: sleep commands and wakeups switch its
-  /// cause, so the energy of a slept interval (and of the wakeup
-  /// transition that ends it) is charged to the DPM decision.  May be null.
-  void set_ledger(obs::AttributionLedger* ledger) { ledger_ = ledger; }
-
-  /// Attaches the flight recorder (idle-enter / sleep / wakeup records).
-  /// May be null.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  /// Attaches the run probe: idle entries, sleep commands, wakeups and
+  /// idle-period ends are reported to it.  May be null.
+  void set_probe(obs::RunProbe* probe) { probe_ = probe; }
 
   /// Fault-injection hook: called once per wakeup with the current time,
   /// returns extra wakeup latency (a delayed or failed-and-retried standby
@@ -72,19 +59,13 @@ class PowerManager {
 
  private:
   void cancel_pending();
-  [[nodiscard]] bool tracing() const {
-    return trace_ != nullptr && trace_->active();
-  }
 
   sim::Simulator* sim_;
   hw::SmartBadge* badge_;
   DpmPolicyPtr policy_;
   Rng rng_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::AttributionLedger* ledger_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::RunProbe* probe_ = nullptr;
   WakeupFaultHook wakeup_fault_hook_;
-  obs::HistogramMetric* idle_hist_ = nullptr;
   hw::PowerState depth_ = hw::PowerState::Idle;  ///< deepest commanded state
   std::optional<Seconds> idle_started_at_;       ///< open idle period, if any
   std::vector<sim::EventId> pending_;

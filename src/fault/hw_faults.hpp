@@ -21,9 +21,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/run_probe.hpp"
 
 namespace dvs::fault {
 
@@ -51,16 +49,9 @@ class HwFaultInjector {
  public:
   HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed);
 
-  /// Optional tracing: each fired fault records a FaultInjected event.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Optional attribution: each fired fault switches the ledger cause to
-  /// Fault (the time that follows is the fault's bill).  May be null.
-  void set_ledger(obs::AttributionLedger* ledger) { ledger_ = ledger; }
-
-  /// Optional flight recorder: fired faults land in the ring and trigger a
-  /// post-mortem dump.  May be null.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  /// Optional run probe: each fired fault is reported to it (the time that
+  /// follows is the fault's bill in the ledger).  May be null.
+  void set_probe(obs::RunProbe* probe) { probe_ = probe; }
 
   /// Extra wakeup latency for the standby exit happening at `now`
   /// (zero when no fault fires).  Called once per wakeup.
@@ -80,13 +71,13 @@ class HwFaultInjector {
   [[nodiscard]] std::uint64_t rail_faults() const { return rail_faults_; }
 
  private:
-  void record(Seconds now, std::string_view kind, double magnitude);
+  void record(Seconds now, obs::FaultKind kind, double magnitude) {
+    if (probe_ != nullptr) probe_->fault(now, kind, magnitude);
+  }
 
   HwFaultPlan plan_;
   Rng rng_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::AttributionLedger* ledger_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::RunProbe* probe_ = nullptr;
   std::uint64_t wakeup_faults_ = 0;
   std::uint64_t freq_faults_ = 0;
   std::uint64_t rail_faults_ = 0;

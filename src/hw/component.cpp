@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/run_probe.hpp"
 
 namespace dvs::hw {
 
@@ -42,12 +42,14 @@ void Component::accrue(Seconds now) {
   DVS_CHECK_MSG(now >= last_accrual_, spec_.name + ": time moved backwards");
   const Seconds dt = now - last_accrual_;
   // Skipping the empty interval is bit-identical (x + 0.0 == x) and keeps
-  // the observer quiet on the frequent same-timestamp accruals.
+  // the probe quiet on the frequent same-timestamp accruals.
   if (dt.value() <= 0.0) return;
   const Joules delta = energy(current_power(), dt);
   energy_ += delta;
   last_accrual_ = now;
-  if (accrual_observer_) accrual_observer_(*this, delta, dt);
+  if (probe_ != nullptr) {
+    probe_->energy_accrued(spec_.name, state_, transitioning_, delta, dt);
+  }
 }
 
 Seconds Component::set_state(PowerState s, Seconds now) {
@@ -59,31 +61,20 @@ Seconds Component::set_state(PowerState s, Seconds now) {
   const PowerState from = state_;
   state_ = s;
   if (is_sleep_state(s)) ++sleep_transitions_;
-  if (!waking) {
-    notify_state_change(from, s, now);
-    return Seconds{0.0};
+  Seconds latency{0.0};
+  if (waking) {
+    latency = wakeup_latency_from(from);
+    if (latency.value() > 0.0) {
+      transitioning_ = true;
+      wakeup_done_ = now + latency;
+      ++wakeups_;
+    }
   }
-
-  const Seconds latency = wakeup_latency_from(from);
-  if (latency.value() > 0.0) {
-    transitioning_ = true;
-    wakeup_done_ = now + latency;
-    ++wakeups_;
+  if (probe_ != nullptr) {
+    probe_->component_state(now, probe_index_, spec_.name, from, s,
+                            current_power());
   }
-  notify_state_change(from, s, now);
   return latency;
-}
-
-void Component::notify_state_change(PowerState from, PowerState to,
-                                    Seconds now) {
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::ComponentState,
-                    static_cast<std::uint16_t>(
-                        (static_cast<unsigned>(flight_index_) << 8) |
-                        static_cast<unsigned>(to)),
-                    static_cast<float>(current_power().value()), 0.0F);
-  }
-  if (observer_) observer_(*this, from, to, now);
 }
 
 void Component::finish_wakeup(Seconds now) {

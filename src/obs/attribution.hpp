@@ -6,16 +6,16 @@
 // consumed them.  "Cause" is the most recent policy decision class when the
 // interval elapsed: a detector change-point, a watchdog escalation or
 // recovery, a DPM sleep/wakeup transition, an injected fault — or Nominal
-// when no decision has intervened since the run (or the last media switch)
-// started.
+// until the run's first decision.  Nothing resets the cause afterwards: a
+// media switch keeps the cause of the last decision before it.
 //
-// Feeding happens at the hardware layer's energy-accrual points (see
-// hw::Component::set_accrual_observer): the ledger receives the *identical*
-// double-precision energy deltas that the Metrics totals are built from, so
-// per-key sums reconcile with Metrics::total_energy to ~1e-15 relative —
-// the 1e-9 contract in the reconciliation test has three orders of margin.
-// Delay is charged once per decoded frame at the decode-done boundary with
-// the same value the frame-delay RunningStats receives.
+// Feeding happens at the hardware layer's energy-accrual points, through
+// obs::RunProbe: the ledger receives the *identical* double-precision
+// energy deltas that the Metrics totals are built from, so per-key sums
+// reconcile with Metrics::total_energy to ~1e-15 relative — the 1e-9
+// contract in the reconciliation test has three orders of margin.  Delay
+// is charged once per decoded frame at the decode-done boundary with the
+// same value the frame-delay RunningStats receives.
 //
 // The ledger is plain single-run state (no locks); in a parallel sweep each
 // point attaches its own instance (SweepOptions::configure_run).
@@ -31,10 +31,11 @@
 namespace dvs::obs {
 
 /// The policy-decision class an interval of time (and its energy/delay) is
-/// charged to.  Updated by hooks in the governor, power manager, and fault
-/// injector; every interval belongs to the most recent decision.
+/// charged to.  Set by obs::RunProbe as the governor, power manager, fault
+/// injector and detectors report decisions; every interval belongs to the
+/// most recent decision.
 enum class Cause : std::uint8_t {
-  Nominal = 0,       ///< no policy decision since the run/item started
+  Nominal = 0,       ///< no policy decision yet in this run
   DetectorChange,    ///< a detector declared a workload change-point
   WatchdogEscalate,  ///< the watchdog clamped the governor to the top step
   WatchdogRecover,   ///< the watchdog handed control back to the policy

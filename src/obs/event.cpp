@@ -31,6 +31,14 @@ struct TypeNameVisitor {
 
 }  // namespace
 
+std::string_view to_string(FaultKind kind) {
+  // Indexed by the enum's ordinal, which is the flight record's code.
+  constexpr std::string_view kNames[] = {"wakeup_delay", "wakeup_fail",
+                                         "freq_fail", "rail_stuck"};
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : std::string_view{"?"};
+}
+
 std::string_view type_name(const Payload& payload) {
   return std::visit(TypeNameVisitor{}, payload);
 }

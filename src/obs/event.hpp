@@ -94,6 +94,14 @@ struct ComponentState {
   double power_mw = 0.0;  ///< power drawn in (or while transitioning to) `to`
 };
 
+/// Hardware fault classes.  The ordinal is the flight record's code
+/// (docs/OBSERVABILITY.md), so the order is part of the dump format.
+enum class FaultKind : std::uint16_t { WakeupDelay, WakeupFail, FreqFail, RailStuck };
+
+/// "wakeup_delay", "wakeup_fail", "freq_fail", "rail_stuck"; "?" for a
+/// value outside the enum (e.g. a corrupt dump code).
+std::string_view to_string(FaultKind kind);
+
 /// A hardware fault fired (fault-injection runs only).
 struct FaultInjected {
   std::string_view kind;   ///< "wakeup_fail", "wakeup_delay", "freq_fail", "rail_stuck"

@@ -1,5 +1,5 @@
 // SpanProfiler: nested hierarchical wall-time spans for the simulator's
-// own hot path — the structured successor of ScopedTimer's single gauge.
+// own hot path.
 //
 // Each node of the span tree carries total ticks, call count, and (after
 // finalize) self time = total − children.  Instrumented code pre-registers

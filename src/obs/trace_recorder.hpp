@@ -1,9 +1,8 @@
 // TraceRecorder: fan-out of structured events to pluggable sinks.
 //
-// The recorder is the single object instrumented code talks to.  With no
-// sinks attached, active() is false and instrumentation sites skip payload
-// construction entirely — an untraced run pays one pointer test per
-// potential event, nothing more.
+// Instrumented code reaches it through obs::RunProbe.  With no sinks
+// attached, active() is false and the probe skips payload construction
+// entirely.
 #pragma once
 
 #include <cstdint>

@@ -70,37 +70,15 @@ void DvsGovernor::on_decode_complete(Seconds now, Seconds decode_time,
         arrival_detector_->reset(arrival_detector_->current_rate());
         service_detector_->reset(service_detector_->current_rate());
         degraded_ = true;
-        if (trace() != nullptr && trace()->active()) {
-          trace()->record(now.value(),
-                          obs::WatchdogEscalate{
-                              frame_delay.value(), buffered_frames,
-                              watchdog_->current_backoff().value()});
-        }
-        if (ledger() != nullptr) {
-          ledger()->set_cause(obs::Cause::WatchdogEscalate);
-        }
-        if (flight() != nullptr) {
-          flight()->record(now.value(), obs::FlightEventType::WatchdogEscalate,
-                           0, static_cast<float>(frame_delay.value()),
-                           static_cast<float>(buffered_frames));
-          flight()->trigger(now.value(), "watchdog-escalate");
+        if (probe() != nullptr) {
+          probe()->watchdog_escalate(now, frame_delay, buffered_frames,
+                                     watchdog_->current_backoff());
         }
         break;
       case WatchdogAction::kRecover:
         degraded_ = false;
-        if (trace() != nullptr && trace()->active()) {
-          trace()->record(now.value(),
-                          obs::WatchdogRecover{
-                              watchdog_->last_episode_length().value()});
-        }
-        if (ledger() != nullptr) {
-          ledger()->set_cause(obs::Cause::WatchdogRecover);
-        }
-        if (flight() != nullptr) {
-          flight()->record(
-              now.value(), obs::FlightEventType::WatchdogRecover, 0,
-              static_cast<float>(watchdog_->last_episode_length().value()),
-              0.0F);
+        if (probe() != nullptr) {
+          probe()->watchdog_recover(now, watchdog_->last_episode_length());
         }
         break;
       case WatchdogAction::kNone:

@@ -71,14 +71,6 @@ class DvsGovernor : public Governor {
   /// True while the watchdog holds the governor at the top step.
   [[nodiscard]] bool degraded() const override { return degraded_; }
 
-  /// Detector access for observability wiring (null for the Max governor).
-  [[nodiscard]] detect::RateDetector* arrival_detector() override {
-    return arrival_detector_.get();
-  }
-  [[nodiscard]] detect::RateDetector* service_detector() override {
-    return service_detector_.get();
-  }
-
  private:
   /// The detector-less governor behind max_performance().
   DvsGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,

@@ -382,12 +382,14 @@ def main():
             fail("flight recorder dumped on a healthy run")
 
     # Fault scenario: the watchdog/fault trigger auto-dumps the flight
-    # recorder, and the dump replays through `report`.
+    # recorder, and the dump replays through `report`.  "chaos" injects
+    # hardware faults (failed frequency transitions here), so the dump
+    # holds a fault record that the report names by kind.
     with tempfile.TemporaryDirectory() as tmp:
         flight_path = os.path.join(tmp, "fault.flight.txt")
         proc = subprocess.run(
             [binary, "run", "--media", "mp3", "--sequence", "A",
-             "--detector", "change-point", "--faults", "spike10x",
+             "--detector", "change-point", "--faults", "chaos",
              "--flight-dump", flight_path],
             capture_output=True, text=True, timeout=600)
         if proc.returncode != 0:
@@ -410,6 +412,9 @@ def main():
             fail(f"flight report missing section:\n{proc.stdout[:2000]}")
         if "== decision timeline" not in proc.stdout:
             fail("flight report produced no timeline")
+        if "[flight]  fault freq_fail (magnitude " not in proc.stdout:
+            fail(f"flight report does not name the fault kind:\n"
+                 f"{proc.stdout[:2000]}")
 
     # Corrupt inputs fail loudly with exit 1, not a crash or silence.
     with tempfile.TemporaryDirectory() as tmp:

@@ -21,6 +21,7 @@
 #include "cli_common.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
+#include "obs/event.hpp"
 #include "obs/flight_recorder.hpp"
 #include "serve/event_log.hpp"
 #include "serve/status.hpp"
@@ -319,7 +320,9 @@ bool timeline_line_from_flight(const obs::FlightRecord& r, TimelineEntry& out) {
                     static_cast<double>(r.a));
       break;
     case FlightEventType::FaultInjected:
-      std::snprintf(buf, sizeof buf, "fault code %u (magnitude %.3g)", r.code,
+      std::snprintf(buf, sizeof buf, "fault %s (magnitude %.3g)",
+                    std::string(obs::to_string(static_cast<obs::FaultKind>(r.code)))
+                        .c_str(),
                     static_cast<double>(r.a));
       break;
     case FlightEventType::Trigger:

@@ -99,6 +99,15 @@ std::optional<DpmKind> dpm_kind_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+std::optional<DetectorKind> detector_kind_from_string(std::string_view name) {
+  if (name == "ideal") return DetectorKind::Ideal;
+  if (name == "change-point" || name == "cp") return DetectorKind::ChangePoint;
+  if (name == "ema" || name == "exp-average") return DetectorKind::ExpAverage;
+  if (name == "max") return DetectorKind::Max;
+  if (name == "sliding-window") return DetectorKind::SlidingWindow;
+  return std::nullopt;
+}
+
 std::string DpmSpec::name() const {
   switch (kind) {
     case DpmKind::Timeout:

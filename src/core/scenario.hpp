@@ -72,6 +72,10 @@ std::string to_string(DpmKind kind);
 /// Parses the CLI spelling ("none", "timeout", "renewal", "tismdp",
 /// "tismdp-dp", "adaptive", "oracle"); nullopt for unknown names.
 std::optional<DpmKind> dpm_kind_from_string(std::string_view name);
+/// Parses the CLI and dvs-job-v1 spelling of a detector ("ideal",
+/// "change-point"/"cp", "ema"/"exp-average", "max", "sliding-window");
+/// nullopt for unknown names.
+std::optional<DetectorKind> detector_kind_from_string(std::string_view name);
 
 struct DpmSpec {
   DpmKind kind = DpmKind::None;

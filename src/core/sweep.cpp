@@ -10,6 +10,7 @@
 
 #include "fault/trace_transforms.hpp"
 #include "hw/smartbadge.hpp"
+#include "policy/governor_factory.hpp"
 #include "policy/optimal_oracle.hpp"
 #include "workload/clips.hpp"
 #include "workload/trace.hpp"
@@ -47,12 +48,25 @@ CpuAsset build_cpu_asset(const std::string& name) {
   return a;
 }
 
+WorkloadAsset trace_asset(workload::FrameTrace trace, const hw::Sa1100& cpu) {
+  const workload::MediaType type = trace.type();
+  const workload::DecoderModel dec =
+      type == workload::MediaType::Mp3Audio
+          ? workload::reference_mp3_decoder(cpu.max_frequency())
+          : workload::reference_mpeg_decoder(cpu.max_frequency());
+  const Seconds end = trace.duration();
+  auto items = std::make_shared<std::vector<PlaybackItem>>();
+  items->push_back(PlaybackItem{std::move(trace), dec,
+                                default_nominal_arrival(type),
+                                default_nominal_service(type), end});
+  return WorkloadAsset{std::move(items), default_idle_distribution()};
+}
+
 WorkloadAsset build_workload_asset(const WorkloadSpec& w,
                                    const hw::Sa1100& cpu,
                                    std::uint64_t trace_seed,
                                    const fault::FaultSpec& faults,
                                    std::uint64_t fault_seed) {
-  WorkloadAsset asset;
   // Workload fault transforms run here, once per shared asset: every
   // detector/DPM combination of the same row and fault spec sees the exact
   // same perturbed trace (the Tables-3/4 "same inputs" contract survives
@@ -63,50 +77,32 @@ WorkloadAsset build_workload_asset(const WorkloadSpec& w,
     if (faults.trace_faults.empty()) return trace;
     return fault::apply_faults(trace, faults.trace_faults, fault_rng);
   };
+  Rng rng{trace_seed};
   switch (w.kind) {
     case WorkloadKind::Mp3Sequence: {
       const workload::DecoderModel dec =
           workload::reference_mp3_decoder(cpu.max_frequency());
-      Rng rng{trace_seed};
-      workload::FrameTrace trace = perturb(
-          workload::build_mp3_trace(workload::mp3_sequence(w.mp3_labels), dec,
-                                    rng));
-      const Seconds end = trace.duration();
-      auto items = std::make_shared<std::vector<PlaybackItem>>();
-      items->push_back(PlaybackItem{
-          std::move(trace), dec,
-          default_nominal_arrival(workload::MediaType::Mp3Audio),
-          default_nominal_service(workload::MediaType::Mp3Audio), end});
-      asset.items = std::move(items);
-      asset.idle = default_idle_distribution();
-      break;
+      return trace_asset(
+          perturb(workload::build_mp3_trace(
+              workload::mp3_sequence(w.mp3_labels), dec, rng)),
+          cpu);
     }
     case WorkloadKind::MpegClip: {
-      const workload::DecoderModel dec =
-          workload::reference_mpeg_decoder(cpu.max_frequency());
-      workload::MpegClip clip = w.mpeg_clip == "terminator2"
-                                    ? workload::terminator2_clip()
-                                    : workload::football_clip();
       if (w.mpeg_clip != "football" && w.mpeg_clip != "terminator2") {
         throw std::invalid_argument("WorkloadSpec: unknown mpeg clip '" +
                                     w.mpeg_clip + "'");
       }
+      workload::MpegClip clip = w.mpeg_clip == "terminator2"
+                                    ? workload::terminator2_clip()
+                                    : workload::football_clip();
       if (w.mpeg_limit.value() > 0.0) {
         clip.duration =
             seconds(std::min(w.mpeg_limit.value(), clip.duration.value()));
       }
-      Rng rng{trace_seed};
-      workload::FrameTrace trace =
-          perturb(workload::build_mpeg_trace(clip, dec, rng));
-      const Seconds end = trace.duration();
-      auto items = std::make_shared<std::vector<PlaybackItem>>();
-      items->push_back(PlaybackItem{
-          std::move(trace), dec,
-          default_nominal_arrival(workload::MediaType::MpegVideo),
-          default_nominal_service(workload::MediaType::MpegVideo), end});
-      asset.items = std::move(items);
-      asset.idle = default_idle_distribution();
-      break;
+      const workload::DecoderModel dec =
+          workload::reference_mpeg_decoder(cpu.max_frequency());
+      return trace_asset(perturb(workload::build_mpeg_trace(clip, dec, rng)),
+                         cpu);
     }
     case WorkloadKind::Session: {
       SessionConfig cfg = w.session;
@@ -119,13 +115,12 @@ WorkloadAsset build_workload_asset(const WorkloadSpec& w,
           item.trace = perturb(std::move(item.trace));
         }
       }
-      asset.items = std::make_shared<const std::vector<PlaybackItem>>(
-          std::move(session.items));
-      asset.idle = session.idle_model;
-      break;
+      return WorkloadAsset{std::make_shared<const std::vector<PlaybackItem>>(
+                               std::move(session.items)),
+                           session.idle_model};
     }
   }
-  return asset;
+  return {};
 }
 
 RunOptions assemble_run_options(const RunAssembly& a, const CpuAsset& cpu,
@@ -159,6 +154,89 @@ RunOptions assemble_run_options(const RunPoint& p, const CpuAsset& cpu,
   a.engine_seed = p.engine_seed;
   a.faults = &p.faults;
   return assemble_run_options(a, cpu, idle, detector_cfg);
+}
+
+// ---- single runs --------------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void bad_field(const char* field, const std::string& what) {
+  throw std::invalid_argument(std::string(field) + ": " + what);
+}
+
+}  // namespace
+
+void RunRequest::validate() const {
+  if (media != "mp3" && media != "mpeg") {
+    bad_field("media", "unknown media \"" + media + "\" (mp3|mpeg)");
+  }
+  if (cycles <= 0) bad_field("cycles", "must be > 0");
+  if (!session && media == "mpeg" && clip != "football" &&
+      clip != "terminator2") {
+    bad_field("clip",
+              "unknown clip \"" + clip + "\" (football|terminator2)");
+  }
+  // Table 2's clip labels.
+  if (!session && media == "mp3" &&
+      (sequence.empty() ||
+       sequence.find_first_not_of("ABCDEF") != std::string::npos)) {
+    bad_field("sequence", "\"" + sequence +
+                              "\" is not a sequence of clip labels A-F");
+  }
+  if (!detector_kind_from_string(detector)) {
+    bad_field("detector", "unknown detector \"" + detector + "\"");
+  }
+  if (!policy.empty() && !policy::GovernorFactory::instance().has(policy)) {
+    bad_field("policy", "unknown policy \"" + policy + "\"");
+  }
+  if (!dpm_kind_from_string(dpm)) {
+    bad_field("dpm", "unknown dpm policy \"" + dpm + "\"");
+  }
+  if (!faults.empty()) {
+    try {
+      (void)fault::parse_fault_list(faults);
+    } catch (const std::invalid_argument& e) {
+      bad_field("faults", e.what());
+    }
+  }
+}
+
+WorkloadSpec RunRequest::workload() const {
+  if (session) {
+    SessionConfig cfg;
+    cfg.cycles = cycles;
+    if (seconds > 0.0) cfg.mpeg_segment = Seconds{seconds};
+    return WorkloadSpec::usage_session(std::move(cfg));
+  }
+  if (media == "mpeg") return WorkloadSpec::mpeg(clip, Seconds{seconds});
+  return WorkloadSpec::mp3(sequence);
+}
+
+fault::FaultSpec RunRequest::fault_plan() const {
+  if (faults.empty()) return {};
+  const std::vector<fault::FaultSpec> specs = fault::parse_fault_list(faults);
+  fault::FaultSpec plan = specs.front();
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    plan.trace_faults.insert(plan.trace_faults.end(),
+                             specs[i].trace_faults.begin(),
+                             specs[i].trace_faults.end());
+  }
+  return plan;
+}
+
+RunAssembly RunRequest::assembly(std::uint64_t seed,
+                                 const fault::FaultSpec& plan) const {
+  RunAssembly a;
+  a.detector = detector_kind_from_string(detector).value();
+  if (!policy.empty()) a.policy = policy;
+  a.delay_target =
+      delay > 0.0 ? Seconds{delay} : workload().default_delay_target();
+  a.service_cv2 = cv2;
+  a.dpm.kind = dpm_kind_from_string(dpm).value();
+  a.dpm.max_delay = Seconds{dpm_delay};
+  a.engine_seed = seed;
+  a.faults = &plan;
+  return a;
 }
 
 const CellResult* SweepResult::find_cell(

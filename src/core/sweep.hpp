@@ -74,6 +74,12 @@ WorkloadAsset build_workload_asset(const WorkloadSpec& w,
                                    const fault::FaultSpec& faults,
                                    std::uint64_t fault_seed);
 
+/// One prepared trace played alone: a single item with the reference
+/// decoder and nominal rates of the trace's media, over the default idle
+/// distribution.  The MP3/MPEG rows above and `dvs_sim run --load-trace`
+/// share it.
+WorkloadAsset trace_asset(workload::FrameTrace trace, const hw::Sa1100& cpu);
+
 /// Scenario-level knobs that every execution surface (cmd_run, the sweep
 /// pool, the fleet shards, serve jobs) resolves into RunOptions the same
 /// way — the single construction path shared by all layers, so call sites
@@ -105,6 +111,47 @@ RunOptions assemble_run_options(const RunAssembly& a, const CpuAsset& cpu,
 RunOptions assemble_run_options(const RunPoint& p, const CpuAsset& cpu,
                                 const dpm::IdleDistributionPtr& idle,
                                 const DetectorFactoryConfig& detector_cfg);
+
+/// One single run as `dvs_sim run` and a dvs-job-v1 "run" section spell
+/// it.  Both build the run the way a sweep point does:
+///
+///   plan  = req.fault_plan();
+///   asset = build_workload_asset(req.workload(), cpu, seed, plan,
+///                                mix_seed(seed, 0xfa));
+///   opts  = assemble_run_options(req.assembly(seed, plan), cpu, asset.idle,
+///                                detector_cfg);
+///   run_items(*asset.items, opts);
+struct RunRequest {
+  std::string media = "mp3";  ///< "mp3" | "mpeg"
+  std::string sequence = "ACEFBD";
+  std::string clip = "football";
+  double seconds = 0.0;  ///< > 0 truncates the MPEG clip / session segment
+  bool session = false;
+  int cycles = 4;
+  std::string detector = "change-point";
+  std::string policy;  ///< empty = engine default ("paper")
+  std::string dpm = "none";
+  double dpm_delay = 0.5;
+  double delay = 0.0;  ///< 0 = the workload's default delay target
+  double cv2 = 1.0;
+  std::string faults;  ///< comma-separated fault::FaultSpec names
+
+  /// Throws std::invalid_argument naming the field ("detector: ...") on an
+  /// unknown media, detector, policy, dpm or fault name, cycles <= 0, and
+  /// — where the request plays them — an unknown MPEG clip or an MP3
+  /// sequence that is empty or outside the Table 2 labels A-F.
+  void validate() const;
+  /// The workload this request plays (MP3 sequence, MPEG clip or session).
+  [[nodiscard]] WorkloadSpec workload() const;
+  /// Every named fault spec's trace faults in order, plus the first spec's
+  /// watchdog and hardware plan; the identity spec when `faults` is empty.
+  [[nodiscard]] fault::FaultSpec fault_plan() const;
+  /// Detector, governor, cv2, DPM and engine seed, and the delay target
+  /// (`delay`, or the workload's default).  The result points at `plan`.
+  /// Requires a request that passed validate().
+  [[nodiscard]] RunAssembly assembly(std::uint64_t seed,
+                                     const fault::FaultSpec& plan) const;
+};
 
 /// One point's fold input, the sweep's unit partial: a checkpointed point
 /// re-enters a resumed sweep's folds through it in place of executing it

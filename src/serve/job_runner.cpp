@@ -1,23 +1,17 @@
 #include "serve/job_runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include <chrono>
-
 #include "common/csv.hpp"
 #include "core/sweep.hpp"
-#include "fault/trace_transforms.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/status.hpp"
-#include "workload/clips.hpp"
-#include "workload/trace.hpp"
 
 namespace dvs::serve {
 namespace {
@@ -185,94 +179,31 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   return job.finish(summary, res.wall_seconds);
 }
 
-JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
-  (void)jobs;  // a single engine run is inherently serial
+JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths) {
   const auto t0 = std::chrono::steady_clock::now();
+  // The sweep point's construction path (core::RunRequest).
+  const core::RunRequest& r = spec.run;
+  const std::uint64_t seed = spec.seed_set ? spec.seed : 1;
+  const core::CpuAsset cpu = core::build_cpu_asset("sa1100");
+  const fault::FaultSpec plan = r.fault_plan();
+  const core::WorkloadAsset asset = core::build_workload_asset(
+      r.workload(), cpu.cpu, seed, plan, core::mix_seed(seed, 0xfa));
+  const core::RunAssembly assembly = r.assembly(seed, plan);
+  core::DetectorFactoryConfig detector_cfg;
+  if (assembly.detector == core::DetectorKind::ChangePoint) {
+    detector_cfg.prepare();
+  }
+  core::RunOptions opts =
+      core::assemble_run_options(assembly, cpu, asset.idle, detector_cfg);
   // Observability attachments: a private registry harvests the frame-delay
   // sketch for job_summary.json, and the flight recorder's auto-dump is
   // routed next to the job's other artifacts.  Neither feeds the results.
   obs::MetricsRegistry reg;
+  opts.metrics = &reg;
   const std::string flight_dir = paths.output_dir + "/flight";
   fs::create_directories(flight_dir);
-  const RunJob& r = spec.run;
-  const core::CpuAsset cpu_asset = core::build_cpu_asset("sa1100");
-  const hw::Sa1100& cpu = cpu_asset.cpu;
-  const std::uint64_t seed = spec.seed_set ? spec.seed : 1;
-
-  core::DetectorFactoryConfig detector_cfg;
-  core::RunAssembly assembly;
-  assembly.detector = resolve_detector(r.detector);
-  if (assembly.detector == core::DetectorKind::ChangePoint) {
-    detector_cfg.prepare();
-  }
-  if (!r.policy.empty()) assembly.policy = r.policy;
-  assembly.service_cv2 = r.cv2;
-  assembly.dpm.kind = *core::dpm_kind_from_string(r.dpm);
-  assembly.dpm.max_delay = seconds(r.dpm_delay);
-  assembly.engine_seed = seed;
-
-  std::vector<fault::TraceFault> trace_faults;
-  std::vector<fault::FaultSpec> fault_specs;
-  if (!r.faults.empty()) {
-    fault_specs = fault::parse_fault_list(r.faults);
-    for (const fault::FaultSpec& f : fault_specs) {
-      trace_faults.insert(trace_faults.end(), f.trace_faults.begin(),
-                          f.trace_faults.end());
-    }
-    assembly.faults = &fault_specs.front();
-  }
-  Rng fault_rng{core::mix_seed(seed, 0xfa)};
-
-  core::Metrics m;
-  if (r.session) {
-    core::SessionConfig scfg;
-    scfg.cycles = r.cycles;
-    scfg.seed = seed;
-    if (r.seconds > 0.0) scfg.mpeg_segment = seconds(r.seconds);
-    core::Session session = core::build_session(scfg, cpu);
-    if (!trace_faults.empty()) {
-      for (core::PlaybackItem& item : session.items) {
-        item.trace = fault::apply_faults(item.trace, trace_faults, fault_rng);
-      }
-    }
-    assembly.delay_target = seconds(r.delay > 0.0 ? r.delay : 0.1);
-    core::RunOptions opts = core::assemble_run_options(
-        assembly, cpu_asset, session.idle_model, detector_cfg);
-    opts.metrics = &reg;
-    opts.flight_dump_path = flight_dir + "/run.flight.txt";
-    m = core::run_items(session.items, opts);
-  } else {
-    std::optional<workload::FrameTrace> trace;
-    std::optional<workload::DecoderModel> decoder;
-    if (r.media == "mp3") {
-      decoder = workload::reference_mp3_decoder(cpu.max_frequency());
-      Rng rng{seed};
-      trace = workload::build_mp3_trace(workload::mp3_sequence(r.sequence),
-                                        *decoder, rng);
-    } else {
-      decoder = workload::reference_mpeg_decoder(cpu.max_frequency());
-      workload::MpegClip clip = r.clip == "terminator2"
-                                    ? workload::terminator2_clip()
-                                    : workload::football_clip();
-      if (r.seconds > 0.0) {
-        clip.duration = seconds(std::min(r.seconds, clip.duration.value()));
-      }
-      Rng rng{seed};
-      trace = workload::build_mpeg_trace(clip, *decoder, rng);
-    }
-    if (!trace_faults.empty()) {
-      trace = fault::apply_faults(*trace, trace_faults, fault_rng);
-    }
-    const auto idle = core::default_idle_distribution();
-    const bool audio = trace->type() == workload::MediaType::Mp3Audio;
-    assembly.delay_target =
-        seconds(r.delay > 0.0 ? r.delay : (audio ? 0.15 : 0.1));
-    core::RunOptions opts =
-        core::assemble_run_options(assembly, cpu_asset, idle, detector_cfg);
-    opts.metrics = &reg;
-    opts.flight_dump_path = flight_dir + "/run.flight.txt";
-    m = core::run_single_trace(*trace, *decoder, opts);
-  }
+  opts.flight_dump_path = flight_dir + "/run.flight.txt";
+  const core::Metrics m = core::run_items(*asset.items, opts);
 
   // The run's machine artifact: a one-row CSV with the table-level numbers
   // (%.17g comes only from checkpoints; this is a report, not a fold input).
@@ -314,7 +245,8 @@ JobOutcome run_job(const JobSpec& spec, const JobPaths& paths,
 
   JobOutcome out;
   switch (spec.kind) {
-    case JobKind::Run: out = run_run_job(spec, paths, jobs); break;
+    // A run job is one engine run, serial whatever `jobs` says.
+    case JobKind::Run: out = run_run_job(spec, paths); break;
     case JobKind::Sweep: out = run_sweep_job(spec, paths, jobs); break;
     case JobKind::Fleet: out = run_fleet_job(spec, paths, jobs); break;
   }

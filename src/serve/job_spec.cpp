@@ -1,6 +1,7 @@
 #include "serve/job_spec.hpp"
 
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -43,12 +44,10 @@ bool bool_field(const json::Value& obj, const std::string& key, bool fallback) {
 }  // namespace
 
 core::DetectorKind resolve_detector(const std::string& name) {
-  if (name == "ideal") return core::DetectorKind::Ideal;
-  if (name == "change-point" || name == "cp") return core::DetectorKind::ChangePoint;
-  if (name == "ema" || name == "exp-average") return core::DetectorKind::ExpAverage;
-  if (name == "max") return core::DetectorKind::Max;
-  if (name == "sliding-window") return core::DetectorKind::SlidingWindow;
-  bad("unknown detector \"" + name + "\"");
+  const std::optional<core::DetectorKind> kind =
+      core::detector_kind_from_string(name);
+  if (!kind) bad("unknown detector \"" + name + "\"");
+  return *kind;
 }
 
 std::string to_string(JobKind kind) {
@@ -166,25 +165,13 @@ JobSpec JobSpec::parse_file(const std::string& path) {
 }
 
 void JobSpec::validate() const {
-  auto check_policy = [](const std::string& name) {
-    if (name.empty()) return;
-    if (!policy::GovernorFactory::instance().has(name)) {
-      bad("unknown policy \"" + name + "\"");
-    }
-  };
   switch (kind) {
     case JobKind::Run: {
-      if (run.media != "mp3" && run.media != "mpeg") {
-        bad("\"media\" must be mp3|mpeg, got \"" + run.media + "\"");
+      try {
+        run.validate();
+      } catch (const std::invalid_argument& e) {
+        bad(std::string("run ") + e.what());
       }
-      if (run.cycles <= 0) bad("\"cycles\" must be > 0");
-      (void)resolve_detector(run.detector);
-      check_policy(run.policy);
-      if (!core::dpm_kind_from_string(run.dpm)) {
-        bad("unknown dpm policy \"" + run.dpm + "\"");
-      }
-      // throws on unknown names (empty = fault-free, not an error)
-      if (!run.faults.empty()) fault::parse_fault_list(run.faults);
       break;
     }
     case JobKind::Sweep: {
@@ -192,7 +179,10 @@ void JobSpec::validate() const {
         bad("unknown scenario \"" + sweep.scenario + "\"");
       }
       if (sweep.replicates < 0) bad("\"replicates\" must be >= 0");
-      check_policy(sweep.policy);
+      if (!sweep.policy.empty() &&
+          !policy::GovernorFactory::instance().has(sweep.policy)) {
+        bad("unknown policy \"" + sweep.policy + "\"");
+      }
       if (!sweep.faults.empty()) fault::parse_fault_list(sweep.faults);
       break;
     }

@@ -27,7 +27,9 @@
 // Only the section matching `kind` may be present.  Every field of the
 // active section is optional with the documented default; validation
 // resolves names (scenario, fleet, detector, dpm, faults, governor) at
-// parse time so a bad job lands in failed/ before any work starts.
+// parse time so a bad job lands in failed/ before any work starts.  The
+// "run" section is a core::RunRequest — the same request `dvs_sim run`
+// builds from its flags — and RunRequest::validate checks it.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +37,8 @@
 #include <string>
 
 #include "common/json.hpp"
-#include "core/detectors.hpp"
+#include "core/sweep.hpp"
 
-namespace dvs::core {
-struct ScenarioSpec;
-}
 namespace dvs::fleet {
 struct FleetSpec;
 }
@@ -53,27 +52,10 @@ enum class JobKind { Run, Sweep, Fleet };
 
 std::string to_string(JobKind kind);
 
-/// Serve-side detector resolution: the CLI's vocabulary ("ideal",
-/// "change-point"/"cp", "ema"/"exp-average", "max", "sliding-window"), but
+/// Serve-side detector resolution over core::detector_kind_from_string,
 /// throwing std::invalid_argument instead of exiting — a bad job must land
 /// in failed/, not take the daemon down.
 core::DetectorKind resolve_detector(const std::string& name);
-
-struct RunJob {
-  std::string media = "mp3";  ///< "mp3" | "mpeg"
-  std::string sequence = "ACEFBD";
-  std::string clip = "football";
-  double seconds = 0.0;  ///< > 0 truncates the MPEG clip / session knob
-  bool session = false;
-  int cycles = 4;
-  std::string detector = "change-point";
-  std::string policy;  ///< empty = engine default ("paper")
-  std::string dpm = "none";
-  double dpm_delay = 0.5;
-  double delay = 0.0;  ///< 0 = per-media default
-  double cv2 = 1.0;
-  std::string faults;  ///< comma-separated fault::FaultSpec names
-};
 
 struct SweepJob {
   std::string scenario;
@@ -98,7 +80,7 @@ struct JobSpec {
   /// shards): progress is durable every N units.  1 = every unit.
   std::size_t checkpoint_every = 1;
 
-  RunJob run;
+  core::RunRequest run;
   SweepJob sweep;
   FleetJob fleet;
 

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "hw/smartbadge.hpp"
 
@@ -56,6 +57,25 @@ TEST(DpmSpec, KindStringsRoundTrip) {
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_FALSE(dpm_kind_from_string("bogus").has_value());
+}
+
+TEST(DetectorKindFromString, MapsEverySpelling) {
+  const std::pair<const char*, DetectorKind> spellings[] = {
+      {"ideal", DetectorKind::Ideal},
+      {"change-point", DetectorKind::ChangePoint},
+      {"cp", DetectorKind::ChangePoint},
+      {"ema", DetectorKind::ExpAverage},
+      {"exp-average", DetectorKind::ExpAverage},
+      {"max", DetectorKind::Max},
+      {"sliding-window", DetectorKind::SlidingWindow}};
+  for (const auto& [name, kind] : spellings) {
+    const auto parsed = detector_kind_from_string(name);
+    ASSERT_TRUE(parsed.has_value()) << name;
+    EXPECT_EQ(*parsed, kind) << name;
+  }
+  for (const char* unknown : {"psychic", "", "Change Point", "CP"}) {
+    EXPECT_FALSE(detector_kind_from_string(unknown).has_value()) << unknown;
+  }
 }
 
 TEST(ScenarioSpec, ExpandCountsAndOrder) {

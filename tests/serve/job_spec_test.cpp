@@ -127,6 +127,16 @@ TEST(JobSpec, RejectsBadDocuments) {
              "run": {"faults": "no-such-fault"}})");
   reject(R"({"schema": "dvs-job-v1", "kind": "run",
              "run": {"media": "vinyl"}})");
+  // unplayable workloads: an unknown MPEG clip, an MP3 sequence outside
+  // the Table 2 labels A-F or empty, a session of no cycles
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mpeg", "clip": "vinyl"}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"sequence": "Z"}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"sequence": ""}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"session": true, "cycles": 0}})");
   // missing required section
   reject(R"({"schema": "dvs-job-v1", "kind": "sweep"})");
   reject(R"({"schema": "dvs-job-v1", "kind": "fleet"})");

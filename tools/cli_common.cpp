@@ -2,7 +2,8 @@
 
 #include <cstdlib>
 #include <ctime>
-#include <optional>
+#include <fstream>
+#include <iostream>
 
 #include "policy/governor_factory.hpp"
 
@@ -25,22 +26,22 @@ CliOptions parse_flags(int argc, char** argv, int first) {
   };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--media") { o.media = need(i); ++i; }
-    else if (a == "--sequence") { o.sequence = need(i); ++i; }
-    else if (a == "--clip") { o.clip = need(i); ++i; }
-    else if (a == "--seconds") { o.seconds_limit = std::stod(need(i)); ++i; }
-    else if (a == "--session") { o.session = true; }
-    else if (a == "--cycles") { o.cycles = std::stoi(need(i)); ++i; }
-    else if (a == "--detector") { o.detector = need(i); ++i; }
-    else if (a == "--policy") { o.policy = need(i); ++i; }
+    if (a == "--media") { o.run.media = need(i); ++i; }
+    else if (a == "--sequence") { o.run.sequence = need(i); ++i; }
+    else if (a == "--clip") { o.run.clip = need(i); ++i; }
+    else if (a == "--seconds") { o.run.seconds = std::stod(need(i)); ++i; }
+    else if (a == "--session") { o.run.session = true; }
+    else if (a == "--cycles") { o.run.cycles = std::stoi(need(i)); ++i; }
+    else if (a == "--detector") { o.run.detector = need(i); ++i; }
+    else if (a == "--policy") { o.run.policy = need(i); ++i; }
     else if (a == "--ema-gain") { o.ema_gain = std::stod(need(i)); ++i; }
-    else if (a == "--delay") { o.delay = std::stod(need(i)); ++i; }
-    else if (a == "--cv2") { o.cv2 = std::stod(need(i)); ++i; }
-    else if (a == "--dpm") { o.dpm = need(i); ++i; }
-    else if (a == "--dpm-delay") { o.dpm_delay = std::stod(need(i)); ++i; }
+    else if (a == "--delay") { o.run.delay = std::stod(need(i)); ++i; }
+    else if (a == "--cv2") { o.run.cv2 = std::stod(need(i)); ++i; }
+    else if (a == "--dpm") { o.run.dpm = need(i); ++i; }
+    else if (a == "--dpm-delay") { o.run.dpm_delay = std::stod(need(i)); ++i; }
     else if (a == "--seed") { o.seed = std::stoull(need(i)); o.seed_set = true; ++i; }
     else if (a == "--scenario") { o.scenario = need(i); ++i; }
-    else if (a == "--faults") { o.faults = need(i); ++i; }
+    else if (a == "--faults") { o.run.faults = need(i); ++i; }
     else if (a == "--jobs") { o.jobs = std::stoi(need(i)); ++i; }
     else if (a == "--devices") {
       o.devices = static_cast<std::size_t>(std::stoull(need(i))); ++i;
@@ -74,33 +75,17 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     else if (a == "--help" || a == "-h") { usage("help requested"); }
     else { usage(("unknown option " + a).c_str()); }
   }
-  if (!o.policy.empty() && !policy::GovernorFactory::instance().has(o.policy)) {
+  if (!o.run.policy.empty() &&
+      !policy::GovernorFactory::instance().has(o.run.policy)) {
     std::string known;
     for (const auto& e : policy::GovernorFactory::instance().entries()) {
       if (!known.empty()) known += ", ";
       known += e.name;
     }
-    usage(("unknown policy " + o.policy + " (known: " + known + ")").c_str());
+    usage(("unknown policy " + o.run.policy + " (known: " + known + ")")
+              .c_str());
   }
   return o;
-}
-
-core::DetectorKind detector_kind(const std::string& name) {
-  if (name == "ideal") return core::DetectorKind::Ideal;
-  if (name == "change-point" || name == "cp") return core::DetectorKind::ChangePoint;
-  if (name == "ema" || name == "exp-average") return core::DetectorKind::ExpAverage;
-  if (name == "max") return core::DetectorKind::Max;
-  if (name == "sliding-window") return core::DetectorKind::SlidingWindow;
-  usage(("unknown detector " + name).c_str());
-}
-
-core::DpmSpec dpm_spec(const CliOptions& o) {
-  const std::optional<core::DpmKind> kind = core::dpm_kind_from_string(o.dpm);
-  if (!kind) usage(("unknown dpm policy " + o.dpm).c_str());
-  core::DpmSpec spec;
-  spec.kind = *kind;
-  spec.max_delay = seconds(o.dpm_delay);
-  return spec;
 }
 
 std::vector<fault::FaultSpec> resolve_faults(const std::string& csv) {
@@ -137,6 +122,34 @@ void print_metrics(std::FILE* out, const core::Metrics& m) {
                  static_cast<unsigned long long>(m.faults_injected),
                  m.watchdog_escalations, m.watchdog_recoveries,
                  m.time_in_degraded.value());
+  }
+}
+
+bool write_document(const std::string& path, const char* label,
+                    std::FILE* hout,
+                    const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return true;
+  if (path == "-") {
+    write(std::cout);
+    return true;
+  }
+  std::ofstream os{path};
+  if (!os) {
+    std::fprintf(stderr, "dvs_sim: cannot open %s\n", path.c_str());
+    return false;
+  }
+  write(os);
+  std::fprintf(hout, "%s -> %s\n", label, path.c_str());
+  return true;
+}
+
+void warn_clamped_histograms(const obs::MetricsRegistry& registry) {
+  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
+    std::fprintf(stderr,
+                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
+                 " outside its bin range (see underflow/overflow in the"
+                 " metrics JSON; sketch quantiles remain exact-range)\n",
+                 name.c_str(), frac * 100.0);
   }
 }
 

@@ -7,33 +7,26 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/metrics.hpp"
-#include "core/scenario.hpp"
+#include "core/sweep.hpp"
 #include "fault/fault_spec.hpp"
+#include "obs/metrics_registry.hpp"
 #include "serve/event_log.hpp"
 
 namespace dvs::cli {
 
 struct CliOptions {
-  std::string media = "mp3";
-  std::string sequence = "ACEFBD";
-  std::string clip = "football";
-  double seconds_limit = 0.0;
-  bool session = false;
-  int cycles = 4;
-  std::string detector = "change-point";
-  /// Governor policy (policy::GovernorFactory key); empty = defer to the
-  /// scenario's policy axis (sweep) or the engine default "paper" (run).
-  std::string policy;
+  /// run: the single-run request (--media, --sequence, --clip, --seconds,
+  /// --session, --cycles, --detector, --policy, --delay, --cv2, --dpm,
+  /// --dpm-delay, --faults).  sweep reads only `policy` and `faults`, as
+  /// overrides of the scenario's policy and fault axes.
+  core::RunRequest run;
   double ema_gain = 0.03;
-  double delay = 0.0;  // 0 = per-media default
-  double cv2 = 1.0;
-  std::string dpm = "none";
-  double dpm_delay = 0.5;
   std::uint64_t seed = 1;
   bool seed_set = false;
   std::string scenario;
@@ -45,7 +38,6 @@ struct CliOptions {
   std::string fleet_csv;
   /// fleet: devices per work-stealing shard (0 = FleetOptions default).
   std::size_t shard_size = 0;
-  std::string faults;
   int jobs = 1;
   int replicates = 0;  // 0 = scenario default
   std::string sweep_csv;
@@ -90,17 +82,22 @@ struct CliOptions {
 /// usage() on unknown flags or missing values.
 CliOptions parse_flags(int argc, char** argv, int first);
 
-core::DetectorKind detector_kind(const std::string& name);
-
-/// Resolves --dpm/--dpm-delay into a DpmSpec (the scenario-level DPM
-/// parameterization assemble_run_options consumes); exits with usage() on
-/// unknown policy names.
-core::DpmSpec dpm_spec(const CliOptions& o);
-
 /// Resolves --faults into specs; exits with usage() on unknown names.
 std::vector<fault::FaultSpec> resolve_faults(const std::string& csv);
 
 void print_metrics(std::FILE* out, const core::Metrics& m);
+
+/// Writes one machine document to `path` through `write`: "-" is stdout;
+/// a file also gets a "<label> -> <path>" note on `hout`.  An empty path
+/// writes nothing.  Returns false, after reporting on stderr, when the file
+/// cannot be opened.
+bool write_document(const std::string& path, const char* label,
+                    std::FILE* hout,
+                    const std::function<void(std::ostream&)>& write);
+
+/// Warns on stderr about every histogram that folded more than 1% of its
+/// samples into the underflow/overflow counters (the binned view is lying).
+void warn_clamped_histograms(const obs::MetricsRegistry& registry);
 
 /// Unix seconds as local wall-clock time in strftime format `fmt`.
 std::string local_time(double ts, const char* fmt);

@@ -1,33 +1,36 @@
 // `dvs_sim run`: one engine session over a single trace or a mixed
 // audio/video/idle session, with optional fault injection and trace sinks.
-#include <algorithm>
+// The run is built the way a sweep point and a serve run job build theirs
+// (core::RunRequest); only the observability attachments are the CLI's.
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <optional>
+#include <memory>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cli_common.hpp"
 #include "common/csv.hpp"
 #include "core/sweep.hpp"
-#include "fault/trace_transforms.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
 #include "obs/telemetry/openmetrics.hpp"
 #include "obs/telemetry/snapshotter.hpp"
 #include "obs/telemetry/span_profiler.hpp"
 #include "obs/trace_recorder.hpp"
-#include "workload/clips.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
 namespace dvs::cli {
 
 int cmd_run(const CliOptions& o) {
-  // The same shared-asset + assemble_run_options path the sweep pool, the
-  // fleet shards, and serve jobs use — cmd_run is just a one-point sweep.
-  const core::CpuAsset cpu_asset = core::build_cpu_asset("sa1100");
-  const hw::Sa1100& cpu = cpu_asset.cpu;
+  core::RunRequest req = o.run;
+  try {
+    req.validate();
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 
   // A machine document on stdout moves the human-readable report to stderr
   // so the document stays parseable; two documents cannot share stdout.
@@ -42,15 +45,54 @@ int cmd_run(const CliOptions& o) {
     usage("--telemetry-jsonl needs a file path"
           " (stdout is reserved for machine documents)");
   }
-  const bool json_to_stdout = stdout_docs > 0;
-  std::FILE* hout = json_to_stdout ? stderr : stdout;
+  if (!o.save_trace.empty() && req.session) {
+    usage("--save-trace writes a single trace, not a --session");
+  }
+  std::FILE* hout = stdout_docs > 0 ? stderr : stdout;
 
-  core::DetectorFactoryConfig detector_cfg;
-  detector_cfg.ema_gain = o.ema_gain;
-  if (detector_kind(o.detector) == core::DetectorKind::ChangePoint) {
-    detector_cfg.prepare();
+  // The sweep point's construction path (core::RunRequest); --load-trace
+  // only swaps in the saved trace's single item.
+  const core::CpuAsset cpu = core::build_cpu_asset("sa1100");
+  const fault::FaultSpec plan = req.fault_plan();
+  core::WorkloadAsset asset;
+  if (!o.load_trace.empty() && !req.session) {
+    try {
+      workload::FrameTrace trace = workload::load_trace(o.load_trace);
+      // The saved trace already carries its trace faults; its media picks
+      // the default delay target.
+      req.media =
+          trace.type() == workload::MediaType::Mp3Audio ? "mp3" : "mpeg";
+      asset = core::trace_asset(std::move(trace), cpu.cpu);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dvs_sim: %s\n", e.what());
+      return 2;
+    }
+  } else {
+    asset = core::build_workload_asset(req.workload(), cpu.cpu, o.seed, plan,
+                                       core::mix_seed(o.seed, 0xfa));
   }
 
+  if (!o.save_trace.empty()) {
+    const workload::FrameTrace& trace = asset.items->front().trace;
+    workload::save_trace(trace, o.save_trace);
+    // Through hout, not stdout: `--save-trace x --metrics-json -` must not
+    // interleave prose into the JSON stream.
+    std::fprintf(hout, "wrote %zu frames to %s\n", trace.size(),
+                 o.save_trace.c_str());
+    return 0;
+  }
+
+  const core::RunAssembly assembly = req.assembly(o.seed, plan);
+  core::DetectorFactoryConfig detector_cfg;
+  detector_cfg.ema_gain = o.ema_gain;
+  if (assembly.detector == core::DetectorKind::ChangePoint) {
+    detector_cfg.prepare();
+  }
+  core::RunOptions opts =
+      core::assemble_run_options(assembly, cpu, asset.idle, detector_cfg);
+
+  // Observability attachments ride on top of the assembled options; they
+  // never feed the simulation result.
   obs::TraceRecorder recorder;
   try {
     if (!o.trace_jsonl.empty()) {
@@ -74,124 +116,36 @@ int cmd_run(const CliOptions& o) {
   }
   obs::SpanProfiler profiler;
   obs::AttributionLedger ledger;
-
-  // Single-run fault injection: all named specs' workload perturbations
-  // apply in order; the first spec supplies the watchdog and hardware plan.
-  std::vector<fault::TraceFault> trace_faults;
-  std::vector<fault::FaultSpec> fault_specs;
-  if (!o.faults.empty()) {
-    fault_specs = resolve_faults(o.faults);
-    for (const fault::FaultSpec& f : fault_specs) {
-      trace_faults.insert(trace_faults.end(), f.trace_faults.begin(),
-                          f.trace_faults.end());
-    }
+  if (recorder.active()) opts.trace = &recorder;
+  // The registry backs three sinks: metrics JSON, the OpenMetrics
+  // exposition, and the quantiles inside telemetry snapshots.
+  if (!o.metrics_json.empty() || !o.metrics_openmetrics.empty() ||
+      telemetry.active()) {
+    opts.metrics = &registry;
   }
-  Rng fault_rng{core::mix_seed(o.seed, 0xfa)};
+  if (!o.power_csv.empty()) opts.power_sample_period = seconds(1.0);
+  if (telemetry.active()) {
+    opts.telemetry = &telemetry;
+    opts.telemetry_every =
+        seconds(o.telemetry_every > 0.0 ? o.telemetry_every : 1.0);
+  }
+  if (!o.self_profile.empty()) opts.profiler = &profiler;
+  if (!o.ledger_json.empty()) opts.ledger = &ledger;
+  opts.flight_recorder = !o.no_flight;
+  if (o.flight_capacity != 0) opts.flight_capacity = o.flight_capacity;
+  opts.flight_dump_path = o.flight_dump;
 
-  core::RunAssembly assembly;
-  assembly.detector = detector_kind(o.detector);
-  if (!o.policy.empty()) assembly.policy = o.policy;
-  assembly.service_cv2 = o.cv2;
-  assembly.dpm = dpm_spec(o);
-  assembly.engine_seed = o.seed;
-  if (!fault_specs.empty()) assembly.faults = &fault_specs.front();
-
-  // Observability attachments ride on top of the assembled options; they
-  // never feed the simulation result.
-  const auto attach_observability = [&](core::RunOptions& opts) {
-    if (recorder.active()) opts.trace = &recorder;
-    // The registry backs three sinks: metrics JSON, the OpenMetrics
-    // exposition, and the quantiles inside telemetry snapshots.
-    const bool want_metrics = !o.metrics_json.empty() ||
-                              !o.metrics_openmetrics.empty() ||
-                              !o.telemetry_jsonl.empty();
-    if (want_metrics) opts.metrics = &registry;
-    if (!o.power_csv.empty()) opts.power_sample_period = seconds(1.0);
-    if (telemetry.active()) {
-      opts.telemetry = &telemetry;
-      opts.telemetry_every =
-          seconds(o.telemetry_every > 0.0 ? o.telemetry_every : 1.0);
-    }
-    if (!o.self_profile.empty()) opts.profiler = &profiler;
-    if (!o.ledger_json.empty()) opts.ledger = &ledger;
-    opts.flight_recorder = !o.no_flight;
-    if (o.flight_capacity != 0) opts.flight_capacity = o.flight_capacity;
-    opts.flight_dump_path = o.flight_dump;
-  };
-
-  core::Metrics m;
-  if (o.session) {
-    core::SessionConfig scfg;
-    scfg.cycles = o.cycles;
-    scfg.seed = o.seed;
-    if (o.seconds_limit > 0.0) scfg.mpeg_segment = seconds(o.seconds_limit);
-    core::Session session = core::build_session(scfg, cpu);
-    if (!trace_faults.empty()) {
-      for (core::PlaybackItem& item : session.items) {
-        item.trace = fault::apply_faults(item.trace, trace_faults, fault_rng);
-      }
-    }
-    assembly.delay_target = seconds(o.delay > 0.0 ? o.delay : 0.1);
-    core::RunOptions opts = core::assemble_run_options(
-        assembly, cpu_asset, session.idle_model, detector_cfg);
-    attach_observability(opts);
-    std::fprintf(hout, "session: %.0f s (%.0f media / %.0f idle), %zu items\n\n",
-                 session.duration.value(), session.media_time.value(),
-                 session.idle_time.value(), session.items.size());
-    m = core::run_items(session.items, opts);
+  const std::vector<core::PlaybackItem>& items = *asset.items;
+  if (req.session) {
+    std::fprintf(hout, "session: %zu items, media ends at %.0f s\n\n",
+                 items.size(), items.back().end.value());
   } else {
-    std::optional<workload::FrameTrace> trace;
-    std::optional<workload::DecoderModel> decoder;
-    if (!o.load_trace.empty()) {
-      trace = workload::load_trace(o.load_trace);
-      decoder = trace->type() == workload::MediaType::Mp3Audio
-                    ? workload::reference_mp3_decoder(cpu.max_frequency())
-                    : workload::reference_mpeg_decoder(cpu.max_frequency());
-    } else if (o.media == "mp3") {
-      decoder = workload::reference_mp3_decoder(cpu.max_frequency());
-      Rng rng{o.seed};
-      trace = workload::build_mp3_trace(workload::mp3_sequence(o.sequence),
-                                        *decoder, rng);
-    } else if (o.media == "mpeg") {
-      decoder = workload::reference_mpeg_decoder(cpu.max_frequency());
-      workload::MpegClip clip = o.clip == "terminator2"
-                                    ? workload::terminator2_clip()
-                                    : workload::football_clip();
-      if (o.seconds_limit > 0.0) {
-        clip.duration = seconds(
-            std::min(o.seconds_limit, clip.duration.value()));
-      }
-      Rng rng{o.seed};
-      trace = workload::build_mpeg_trace(clip, *decoder, rng);
-    } else {
-      usage(("unknown media " + o.media).c_str());
-    }
-
-    if (!trace_faults.empty()) {
-      trace = fault::apply_faults(*trace, trace_faults, fault_rng);
-    }
-
-    if (!o.save_trace.empty()) {
-      workload::save_trace(*trace, o.save_trace);
-      // Through hout, not stdout: `--save-trace x --metrics-json -` must not
-      // interleave prose into the JSON stream.
-      std::fprintf(hout, "wrote %zu frames to %s\n", trace->size(),
-                   o.save_trace.c_str());
-      return 0;
-    }
-
-    const auto idle = core::default_idle_distribution();
-    const bool audio = trace->type() == workload::MediaType::Mp3Audio;
-    assembly.delay_target =
-        seconds(o.delay > 0.0 ? o.delay : (audio ? 0.15 : 0.1));
-    core::RunOptions opts =
-        core::assemble_run_options(assembly, cpu_asset, idle, detector_cfg);
-    attach_observability(opts);
-    std::fprintf(hout, "trace: %zu frames over %.0f s (%s)\n\n", trace->size(),
-                 trace->duration().value(),
-                 std::string(workload::to_string(trace->type())).c_str());
-    m = core::run_single_trace(*trace, *decoder, opts);
+    const workload::FrameTrace& trace = items.front().trace;
+    std::fprintf(hout, "trace: %zu frames over %.0f s (%s)\n\n", trace.size(),
+                 trace.duration().value(),
+                 std::string(workload::to_string(trace.type())).c_str());
   }
+  const core::Metrics m = core::run_items(items, opts);
 
   print_metrics(hout, m);
 
@@ -206,46 +160,15 @@ int cmd_run(const CliOptions& o) {
     }
     std::fprintf(hout, "\n");
   }
-  if (!o.metrics_json.empty()) {
-    if (json_to_stdout) {
-      registry.write_json(std::cout);
-    } else {
-      std::ofstream os{o.metrics_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.metrics_json.c_str());
-        return 1;
-      }
-      registry.write_json(os);
-      std::fprintf(hout, "metrics json -> %s\n", o.metrics_json.c_str());
-    }
-  }
-  if (!o.ledger_json.empty()) {
-    if (o.ledger_json == "-") {
-      ledger.write_json(std::cout);
-    } else {
-      std::ofstream os{o.ledger_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.ledger_json.c_str());
-        return 1;
-      }
-      ledger.write_json(os);
-      std::fprintf(hout, "ledger json -> %s\n", o.ledger_json.c_str());
-    }
-  }
-
-  if (!o.metrics_openmetrics.empty()) {
-    if (o.metrics_openmetrics == "-") {
-      obs::write_openmetrics(registry, std::cout);
-    } else {
-      std::ofstream os{o.metrics_openmetrics};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n",
-                     o.metrics_openmetrics.c_str());
-        return 1;
-      }
-      obs::write_openmetrics(registry, os);
-      std::fprintf(hout, "openmetrics -> %s\n", o.metrics_openmetrics.c_str());
-    }
+  if (!write_document(o.metrics_json, "metrics json", hout,
+                      [&](std::ostream& os) { registry.write_json(os); }) ||
+      !write_document(o.ledger_json, "ledger json", hout,
+                      [&](std::ostream& os) { ledger.write_json(os); }) ||
+      !write_document(o.metrics_openmetrics, "openmetrics", hout,
+                      [&](std::ostream& os) {
+                        obs::write_openmetrics(registry, os);
+                      })) {
+    return 1;
   }
   if (telemetry.active()) {
     std::fprintf(hout, "telemetry jsonl -> %s (%zu snapshots)\n",
@@ -263,15 +186,7 @@ int cmd_run(const CliOptions& o) {
                  o.self_profile.c_str(), profiler.nodes().size(),
                  profiler.node_total_s(0) * 1e3);
   }
-  // Clamped-mass warning: a histogram silently folding >1% of its samples
-  // into the underflow/overflow counters means the binned view is lying.
-  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
-    std::fprintf(stderr,
-                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
-                 name.c_str(), frac * 100.0);
-  }
+  warn_clamped_histograms(registry);
 
   if (!o.power_csv.empty()) {
     CsvWriter csv{o.power_csv};

@@ -1,8 +1,7 @@
 // `dvs_sim sweep`: run a scenario grid (core/scenario.hpp registry) through
 // the parallel SweepRunner.  Results are bit-identical at any --jobs level.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
+#include <ostream>
 
 #include "cli_common.hpp"
 #include "common/csv.hpp"
@@ -28,8 +27,8 @@ int run_scenario(const CliOptions& o, std::FILE* hout,
   core::ScenarioSpec spec = *found;
   if (o.replicates > 0) spec.replicates = o.replicates;
   if (o.seed_set) spec.base_seed = o.seed;
-  if (!o.faults.empty()) spec.faults = resolve_faults(o.faults);
-  if (!o.policy.empty()) spec.policies = {o.policy};
+  if (!o.run.faults.empty()) spec.faults = resolve_faults(o.run.faults);
+  if (!o.run.policy.empty()) spec.policies = {o.run.policy};
 
   core::SweepOptions sopts;
   sopts.jobs = o.jobs;
@@ -160,44 +159,19 @@ int cmd_sweep(const CliOptions& o) {
   const int rc = run_scenario(o, hout, want_metrics ? &registry : nullptr,
                               telemetry.active() ? &telemetry : nullptr);
   if (rc != 0) return rc;
-  if (!o.metrics_json.empty()) {
-    if (o.metrics_json == "-") {
-      registry.write_json(std::cout);
-    } else {
-      std::ofstream os{o.metrics_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.metrics_json.c_str());
-        return 1;
-      }
-      registry.write_json(os);
-      std::fprintf(hout, "metrics json -> %s\n", o.metrics_json.c_str());
-    }
-  }
-  if (!o.metrics_openmetrics.empty()) {
-    if (o.metrics_openmetrics == "-") {
-      obs::write_openmetrics(registry, std::cout);
-    } else {
-      std::ofstream os{o.metrics_openmetrics};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n",
-                     o.metrics_openmetrics.c_str());
-        return 1;
-      }
-      obs::write_openmetrics(registry, os);
-      std::fprintf(hout, "openmetrics -> %s\n", o.metrics_openmetrics.c_str());
-    }
+  if (!write_document(o.metrics_json, "metrics json", hout,
+                      [&](std::ostream& os) { registry.write_json(os); }) ||
+      !write_document(o.metrics_openmetrics, "openmetrics", hout,
+                      [&](std::ostream& os) {
+                        obs::write_openmetrics(registry, os);
+                      })) {
+    return 1;
   }
   if (telemetry.active()) {
     std::fprintf(hout, "telemetry jsonl -> %s (%zu snapshots)\n",
                  o.telemetry_jsonl.c_str(), telemetry.snapshots_written());
   }
-  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
-    std::fprintf(stderr,
-                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
-                 name.c_str(), frac * 100.0);
-  }
+  warn_clamped_histograms(registry);
   return 0;
 }
 

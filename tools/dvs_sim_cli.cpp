@@ -94,8 +94,12 @@
 //   --dpm none|timeout|renewal|tismdp|tismdp-dp|adaptive|oracle  (default none)
 //   --dpm-delay <s>           TISMDP expected-wakeup-delay bound (default 0.5)
 //   --seed <n>                workload seed (default 1)
-//   --save-trace <path>       write the generated trace and exit
-//   --load-trace <path>       run on a previously saved trace
+//   --save-trace <path>       write the generated trace (faults applied)
+//                             and exit; not with --session
+//   --load-trace <path>       run on a previously saved trace; its media
+//                             picks the default --delay, and --faults arms
+//                             only the watchdog and hardware plan (a saved
+//                             trace already carries its perturbations)
 //   --power-csv <path>        dump a 1 Hz whole-badge power trace
 //
 // Observability (see docs/OBSERVABILITY.md):

@@ -3,8 +3,10 @@
 // External artifacts — examples, benches, downstream tools — include only
 // this header.  Everything re-exported here is the supported API:
 //
-//   * single runs:      core::RunOptions, core::run_single_trace,
-//                       core::run_items, core::Metrics
+//   * single runs:      core::RunRequest (the `dvs_sim run` / serve run
+//                       job request), core::RunOptions,
+//                       core::run_single_trace, core::run_items,
+//                       core::Metrics
 //   * experiment grids: core::ScenarioSpec, core::SweepRunner,
 //                       core::builtin_scenarios / find_scenario
 //   * fleet populations: fleet::FleetSpec, fleet::FleetRunner,

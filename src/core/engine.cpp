@@ -177,7 +177,7 @@ void Engine::schedule_arrival_cursor() {
   const PlaybackItem& it = items_[item_];
   const workload::TraceFrame& tf = it.trace.frames()[frame_idx_];
   next_arrival_ = tf.arrival;
-  sim_.schedule_at(tf.arrival, [this] { handle_arrival(); });
+  post(Action::Arrival, tf.arrival);
 }
 
 void Engine::handle_arrival() {
@@ -188,7 +188,7 @@ void Engine::handle_arrival() {
   ++frames_arrived_;
 
   // DPM: cancel any pending sleep plan / idle filter; wake if sleeping.
-  cancel_arm();
+  slot(Action::DpmArm) = sim::Rank{};
   const Seconds ready = pm_->on_request(now);
   device_ready_ = std::max(device_ready_, ready);
 
@@ -245,30 +245,41 @@ void Engine::handle_arrival() {
 
 void Engine::start_wlan_burst(Seconds at) {
   wlan_busy_until_ = std::max(wlan_busy_until_, at + cfg_.wlan_rx_time);
-  sim_.schedule_at(at, [this] {
-    auto& wlan = badge_.component(hw::BadgeComponentId::WlanRf);
-    if (wlan.state() == hw::PowerState::Idle && !wlan.transitioning()) {
-      wlan.set_state(hw::PowerState::Active, sim_.now());
-    }
-  });
-  sim_.schedule_at(wlan_busy_until_, [this] {
-    auto& wlan = badge_.component(hw::BadgeComponentId::WlanRf);
-    if (sim_.now() >= wlan_busy_until_ &&
-        wlan.state() == hw::PowerState::Active && !wlan.transitioning()) {
-      wlan.set_state(hw::PowerState::Idle, sim_.now());
-    }
-  });
+  // Merging rules: see Engine::Action.
+  sim::Rank& on = slot(Action::WlanOn);
+  if (on.none()) {
+    on = sim_.reserve(at);
+  } else {
+    DVS_CHECK_MSG(on.at == at.value(), "Engine: WLAN-ons at two times");
+  }
+  sim::Rank& off = slot(Action::WlanOff);
+  if (off.none() || off.at != wlan_busy_until_.value()) {
+    off = sim_.reserve(wlan_busy_until_);
+  }
+}
+
+void Engine::wlan_on() {
+  auto& wlan = badge_.component(hw::BadgeComponentId::WlanRf);
+  if (wlan.state() == hw::PowerState::Idle && !wlan.transitioning()) {
+    wlan.set_state(hw::PowerState::Active, sim_.now());
+  }
+}
+
+void Engine::wlan_off() {
+  // The slot sits at wlan_busy_until_, so the burst is always over here.
+  auto& wlan = badge_.component(hw::BadgeComponentId::WlanRf);
+  if (wlan.state() == hw::PowerState::Active && !wlan.transitioning()) {
+    wlan.set_state(hw::PowerState::Idle, sim_.now());
+  }
 }
 
 void Engine::maybe_start_decode(Seconds at) {
-  if (busy_ || decode_start_pending_ || buffer_.empty()) return;
-  decode_start_pending_ = true;
-  sim_.schedule_at(std::max(at, sim_.now()), [this] { handle_decode_start(); });
+  if (busy_ || !slot(Action::DecodeStart).none() || buffer_.empty()) return;
+  post(Action::DecodeStart, std::max(at, sim_.now()));
 }
 
 void Engine::handle_decode_start() {
   const obs::ScopedSpan span{profiler_, span_decode_start_};
-  decode_start_pending_ = false;
   if (busy_ || buffer_.empty()) return;
   const Seconds now = sim_.now();
   if (now < device_ready_) {
@@ -301,27 +312,29 @@ void Engine::handle_decode_start() {
   // The memory is busy only for the frequency-independent stall portion of
   // the decode (a fixed number of accesses per frame); slowing the CPU does
   // not stretch memory energy.  Release it early.
+  decoding_ = Decoding{frame, pure, f};
   const Seconds mem_busy = dec.memory_stall() * frame.work;
   if (mem_busy < pure) {
-    const hw::BadgeComponentId mem = frame.type == workload::MediaType::Mp3Audio
-                                         ? hw::BadgeComponentId::Sram
-                                         : hw::BadgeComponentId::Dram;
-    sim_.schedule_at(now + switch_latency + mem_busy, [this, mem] {
-      auto& c = badge_.component(mem);
-      if (c.state() == hw::PowerState::Active && !c.transitioning()) {
-        c.set_state(hw::PowerState::Idle, sim_.now());
-      }
-    });
+    post(Action::MemoryRelease, now + switch_latency + mem_busy);
   }
-
-  sim_.schedule_at(now + switch_latency + pure, [this, frame, pure, f] {
-    handle_decode_complete(frame, pure, f);
-  });
+  post(Action::DecodeDone, now + switch_latency + pure);
 }
 
-void Engine::handle_decode_complete(workload::Frame frame, Seconds pure_decode,
-                                    MegaHertz freq) {
+void Engine::release_memory() {
+  auto& c = badge_.component(
+      decoding_.frame.type == workload::MediaType::Mp3Audio
+          ? hw::BadgeComponentId::Sram
+          : hw::BadgeComponentId::Dram);
+  if (c.state() == hw::PowerState::Active && !c.transitioning()) {
+    c.set_state(hw::PowerState::Idle, sim_.now());
+  }
+}
+
+void Engine::handle_decode_complete() {
   const obs::ScopedSpan span{profiler_, span_decode_done_};
+  const workload::Frame frame = decoding_.frame;
+  const Seconds pure_decode = decoding_.pure;
+  const MegaHertz freq = decoding_.freq;
   const Seconds now = sim_.now();
   buffer_.record_departure(frame.arrival, now);
   deactivate_components(frame.type, now);
@@ -376,19 +389,21 @@ void Engine::deactivate_components(workload::MediaType type, Seconds now) {
 }
 
 void Engine::arm_dpm(Seconds now) {
-  cancel_arm();
-  arm_event_ = sim_.schedule_at(now + cfg_.dpm_arm_delay, [this] {
-    const obs::ScopedSpan span{profiler_, span_dpm_idle_};
-    const Seconds t = sim_.now();
-    // Playback stopped: the display is no longer being accessed.
-    auto& display = badge_.component(hw::BadgeComponentId::Display);
-    if (display.state() == hw::PowerState::Active && !display.transitioning()) {
-      display.set_state(hw::PowerState::Idle, t);
-    }
-    std::optional<Seconds> hint;
-    if (next_arrival_) hint = *next_arrival_ - t;
-    pm_->on_idle_enter(t, hint);
-  });
+  slot(Action::DpmArm) = sim::Rank{};
+  post(Action::DpmArm, now + cfg_.dpm_arm_delay);
+}
+
+void Engine::handle_dpm_arm() {
+  const obs::ScopedSpan span{profiler_, span_dpm_idle_};
+  const Seconds t = sim_.now();
+  // Playback stopped: the display is no longer being accessed.
+  auto& display = badge_.component(hw::BadgeComponentId::Display);
+  if (display.state() == hw::PowerState::Active && !display.transitioning()) {
+    display.set_state(hw::PowerState::Idle, t);
+  }
+  std::optional<Seconds> hint;
+  if (next_arrival_) hint = *next_arrival_ - t;
+  pm_->on_idle_enter(t, hint);
 }
 
 void Engine::schedule_power_sample(Seconds at) {
@@ -441,10 +456,39 @@ void Engine::take_telemetry_snapshot(Seconds now) {
   cfg_.telemetry->snapshot(now.value(), "engine", reg, live);
 }
 
-void Engine::cancel_arm() {
-  if (arm_event_.valid()) {
-    sim_.cancel(arm_event_);
-    arm_event_ = sim::EventId{};
+void Engine::post(Action a, Seconds at) {
+  sim::Rank& r = slot(a);
+  DVS_CHECK_MSG(r.none(), "Engine: action already pending");
+  r = sim_.reserve(at);
+}
+
+void Engine::run_actions() {
+  for (;;) {
+    std::size_t next = 0;
+    for (std::size_t k = 1; k < kActions; ++k) {
+      if (actions_[k] < actions_[next]) next = k;
+    }
+    const sim::Rank action = actions_[next];
+    if (sim_.next_rank() < action) {
+      sim_.step();
+      continue;
+    }
+    if (action.none()) return;  // heap and slots both empty
+    actions_[next] = sim::Rank{};
+    sim_.advance_to(Seconds{action.at});
+    dispatch(static_cast<Action>(next));
+  }
+}
+
+void Engine::dispatch(Action a) {
+  switch (a) {
+    case Action::Arrival: handle_arrival(); return;
+    case Action::WlanOn: wlan_on(); return;
+    case Action::WlanOff: wlan_off(); return;
+    case Action::DecodeStart: handle_decode_start(); return;
+    case Action::MemoryRelease: release_memory(); return;
+    case Action::DecodeDone: handle_decode_complete(); return;
+    case Action::DpmArm: handle_dpm_arm(); return;
   }
 }
 
@@ -467,7 +511,7 @@ Metrics Engine::run() {
   }
   const auto wall_start = std::chrono::steady_clock::now();
   try {
-    sim_.run();
+    run_actions();
   } catch (...) {
     // Abnormal exit: finalize trace sinks so JSONL/Chrome output stays
     // well-formed, and capture the flight-recorder window.  Post-mortem

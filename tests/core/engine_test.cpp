@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "core/scenario.hpp"
+#include "dpm/cost_model.hpp"
+#include "obs/metrics_registry.hpp"
 #include "workload/clips.hpp"
 #include "workload/trace.hpp"
 
@@ -228,6 +231,53 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_energy.value(), b.total_energy.value());
   EXPECT_DOUBLE_EQ(a.mean_frame_delay.value(), b.mean_frame_delay.value());
   EXPECT_EQ(a.cpu_switches, b.cpu_switches);
+}
+
+/// Kernel heap events executed per arrived frame, from the run's registry.
+double heap_events_per_frame(std::vector<PlaybackItem> items,
+                             dpm::DpmPolicyPtr dpm) {
+  obs::MetricsRegistry registry;
+  RunOptions opts;
+  opts.detector = DetectorKind::ChangePoint;
+  opts.detector_cfg = &shared_detectors();
+  opts.dpm_policy = std::move(dpm);
+  opts.metrics = &registry;
+  const Metrics m = run_items(std::move(items), opts);
+  EXPECT_GT(m.frames_arrived, 0u);
+  return static_cast<double>(registry.counter_value("sim.events_executed")) /
+         static_cast<double>(m.frames_arrived);
+}
+
+PlaybackItem single_item(workload::FrameTrace trace,
+                         const workload::DecoderModel& dec) {
+  const Seconds end = trace.duration();
+  const workload::MediaType type = trace.type();
+  return PlaybackItem{std::move(trace), dec, default_nominal_arrival(type),
+                      default_nominal_service(type), end};
+}
+
+TEST(Engine, PerFramePathStaysOffTheEventHeap) {
+  // Arrivals, WLAN bursts, decode start/done, memory release and the DPM
+  // arm timer are ranked engine actions; the heap sees only the rare
+  // events (DPM sleep steps, wakeup completion, samplers).
+  const auto mp3_dec = workload::reference_mp3_decoder(cpu().max_frequency());
+  const auto mpeg_dec = workload::reference_mpeg_decoder(cpu().max_frequency());
+  Rng rng{5};
+  const auto mp3 = workload::build_mp3_trace(workload::mp3_sequence("ACEF"),
+                                             mp3_dec, rng);
+  const auto mpeg =
+      workload::build_mpeg_trace(workload::football_clip(), mpeg_dec, rng);
+  EXPECT_LE(heap_events_per_frame({single_item(mp3, mp3_dec)}, nullptr), 2.0);
+  EXPECT_LE(heap_events_per_frame({single_item(mpeg, mpeg_dec)}, nullptr), 2.0);
+
+  SessionConfig scfg;
+  scfg.cycles = 2;
+  Session session = build_session(scfg, cpu());
+  DpmSpec tismdp;
+  tismdp.kind = DpmKind::Tismdp;
+  const auto policy = make_dpm_policy(
+      tismdp, dpm::smartbadge_cost_model(hw::SmartBadge{}), session.idle_model);
+  EXPECT_LE(heap_events_per_frame(std::move(session.items), policy), 2.0);
 }
 
 }  // namespace

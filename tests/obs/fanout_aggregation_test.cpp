@@ -70,6 +70,9 @@ core::Metrics replicate_run(std::uint64_t seed, MetricsRegistry& registry) {
   opts.detector = core::DetectorKind::ExpAverage;
   opts.seed = seed;
   opts.metrics = &registry;
+  // The per-frame path never touches the kernel's heap; the power sampler
+  // does, so the sim.* counters below have something to sum.
+  opts.power_sample_period = seconds(1.0);
   return core::run_single_trace(trace, dec, opts);
 }
 

@@ -102,15 +102,20 @@ bool ChangePointDetector::detect(Seconds now) {
   cand_sum_.clear();
   cand_len_.clear();
   cand_pos_.clear();
+  // Candidates are the multiples of `step` that leave a tail of at least
+  // max(min_tail, 1) samples; the walk adds samples from the back one at a
+  // time and stops at each candidate, so no per-sample position test.
+  const std::size_t min_tail = std::max<std::size_t>(cfg.min_tail, 1);
   double tail_sum = 0.0;
-  for (std::size_t j = m; j-- > 0;) {
-    tail_sum += window_.at(j) * lambda_o;
-    const std::size_t tail_len = m - j;
-    if (tail_len < cfg.min_tail) continue;
-    if (j % step != 0) continue;
-    cand_sum_.push_back(tail_sum);
-    cand_len_.push_back(tail_len);
-    cand_pos_.push_back(j);
+  if (m >= min_tail) {
+    std::size_t j = m;
+    for (std::size_t pos = (m - min_tail) / step * step;; pos -= step) {
+      while (j > pos) tail_sum += window_.at(--j) * lambda_o;
+      cand_sum_.push_back(tail_sum);
+      cand_len_.push_back(m - pos);
+      cand_pos_.push_back(pos);
+      if (pos < step) break;
+    }
   }
 
   // Scan every candidate ratio; require the best margin to clear the

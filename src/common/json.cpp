@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -59,6 +60,26 @@ const Value& Value::at(const std::string& key) const {
 double Value::number_or(const std::string& key, double fallback) const {
   const Value* v = find(key);
   return v == nullptr ? fallback : v->as_number();
+}
+
+std::int64_t Value::int_or(const std::string& key, std::int64_t fallback,
+                           std::int64_t lo, std::int64_t hi) const {
+  const Value* v = find(key);
+  if (v == nullptr) return fallback;
+  const double x = v->as_number();
+  // NaN fails both comparisons, so it is out of range too.
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi))) {
+    std::ostringstream msg;
+    msg << "\"" << key << "\" is " << x << ", outside [" << lo << ", " << hi
+        << "]";
+    throw ParseError(msg.str());
+  }
+  if (x != std::floor(x)) {
+    std::ostringstream msg;
+    msg << "\"" << key << "\" is " << x << ", not a whole number";
+    throw ParseError(msg.str());
+  }
+  return static_cast<std::int64_t>(x);
 }
 
 std::string Value::string_or(const std::string& key,

@@ -63,6 +63,14 @@ class Value {
   [[nodiscard]] double number_or(const std::string& key, double fallback) const;
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string fallback) const;
+  /// Member `key` as a whole number in [lo, hi], or `fallback` when the
+  /// member is absent.  A member that is not a number, has a fraction, or
+  /// lies outside the range throws ParseError naming the key; the check
+  /// runs on the double, so no out-of-range value reaches a narrowing
+  /// cast.  lo and hi must lie within +-2^53, where doubles are exact.
+  [[nodiscard]] std::int64_t int_or(const std::string& key,
+                                    std::int64_t fallback, std::int64_t lo,
+                                    std::int64_t hi) const;
 
  private:
   friend class Parser;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -27,6 +28,27 @@ TEST(Json, ParsesScalarsAndNesting) {
 TEST(Json, StringEscapes) {
   const ValuePtr v = parse(R"({"s": "a\"b\\c\nd\teA"})");
   EXPECT_EQ(v->at("s").as_string(), "a\"b\\c\nd\teA");
+}
+
+TEST(Json, BoundedIntegerReaderChecksBeforeNarrowing) {
+  const ValuePtr v = parse(
+      R"({"n": 7, "neg": -3, "big": 1e30, "frac": 2.5, "s": "7", "edge": 100})");
+  EXPECT_EQ(v->int_or("n", 0, 0, 100), 7);
+  EXPECT_EQ(v->int_or("neg", 0, -5, 5), -3);
+  EXPECT_EQ(v->int_or("edge", 0, 0, 100), 100);
+  EXPECT_EQ(v->int_or("missing", 42, 0, 10), 42);  // fallback is not checked
+  EXPECT_THROW((void)v->int_or("big", 0, 0, std::int64_t{1} << 53), ParseError);
+  EXPECT_THROW((void)v->int_or("frac", 0, 0, 100), ParseError);
+  EXPECT_THROW((void)v->int_or("neg", 0, 0, 100), ParseError);
+  EXPECT_THROW((void)v->int_or("edge", 0, 0, 99), ParseError);
+  EXPECT_THROW((void)v->int_or("s", 0, 0, 100), ParseError);
+  try {
+    (void)v->int_or("big", 0, 0, 10);
+    ADD_FAILURE() << "1e30 accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"big\""), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, RoundTripsSeventeenDigitDoubles) {

@@ -137,9 +137,43 @@ TEST(JobSpec, RejectsBadDocuments) {
              "run": {"sequence": ""}})");
   reject(R"({"schema": "dvs-job-v1", "kind": "run",
              "run": {"session": true, "cycles": 0}})");
+  // numbers that do not fit their field: rejected before any narrowing
+  // cast (1e30 devices used to wrap to 0, i.e. the default population)
+  reject(R"({"schema": "dvs-job-v1", "kind": "fleet",
+             "fleet": {"name": "fleet_smoke", "devices": 1e30}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"session": true, "cycles": 1e300}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run", "jobs": 1e12})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "sweep",
+             "sweep": {"scenario": "quick", "replicates": 2.5}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mpeg", "seconds": -5}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run", "seed": -1})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run", "seed": 1e300})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run", "checkpoint_every": 1e30})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "fleet",
+             "fleet": {"name": "fleet_smoke", "shard_size": -64}})");
   // missing required section
   reject(R"({"schema": "dvs-job-v1", "kind": "sweep"})");
   reject(R"({"schema": "dvs-job-v1", "kind": "fleet"})");
+}
+
+TEST(JobSpec, AcceptsIntegerFieldsUpToTheirBounds) {
+  const JobSpec j = JobSpec::parse_text(
+      R"({"schema": "dvs-job-v1", "kind": "fleet", "seed": 9007199254740992,
+          "jobs": 1024, "checkpoint_every": 0,
+          "fleet": {"name": "fleet_city", "devices": 100000000,
+                    "shard_size": 256}})",
+      "j");
+  EXPECT_EQ(j.seed, std::uint64_t{1} << 53);
+  EXPECT_EQ(j.jobs, 1024);
+  EXPECT_EQ(j.checkpoint_every, 1u);  // 0 means every unit
+  EXPECT_EQ(j.fleet.devices, 100000000u);
+  EXPECT_THROW((void)JobSpec::parse_text(
+                   R"({"schema": "dvs-job-v1", "kind": "fleet",
+                       "fleet": {"name": "fleet_city", "devices": 100000001}})",
+                   "j"),
+               std::invalid_argument);
 }
 
 TEST(JobSpec, MalformedJsonThrowsParseError) {

@@ -109,7 +109,9 @@ def check_bad_run_input_is_a_usage_error(binary):
     for bad in (["--media", "mpeg", "--clip", "foo"],
                 ["--session", "--cycles", "0"],
                 ["--sequence", "Z"],
-                ["--sequence", ""]):
+                ["--sequence", ""],
+                ["--dpm", "tismdp", "--dpm-delay", "-1"],
+                ["--cv2", "-1"]):
         proc = subprocess.run([binary, "run"] + bad,
                               capture_output=True, text=True, timeout=60)
         if proc.returncode != 2:

@@ -44,7 +44,7 @@ EventId Simulator::schedule_impl(double at, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   ++live_;
-  heap_.push_back(Scheduled{at, next_seq_++, slot, s.gen});
+  heap_.push_back(Scheduled{Rank{at, next_seq_++}, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++stats_.scheduled;
   stats_.max_heap_size = std::max(stats_.max_heap_size, heap_.size());
@@ -110,7 +110,7 @@ void Simulator::execute_next() {
   DVS_CHECK(s.gen == top.gen);
   Callback fn = std::move(s.fn);
   release_slot(top.slot);  // before fn() so the callback can re-schedule
-  now_ = Seconds{top.at};
+  now_ = Seconds{top.rank.at};
   ++stats_.executed;
   fn();
 }
@@ -133,7 +133,7 @@ void Simulator::run_until(Seconds horizon) {
   stop_requested_ = false;
   while (!stop_requested_) {
     skip_tombstones();
-    if (heap_.empty() || heap_.front().at > horizon.value()) break;
+    if (heap_.empty() || heap_.front().rank.at > horizon.value()) break;
     execute_next();
   }
   if (!stop_requested_ && now_ < horizon) now_ = horizon;

@@ -464,12 +464,19 @@ void Engine::post(Action a, Seconds at) {
 
 void Engine::run_actions() {
   for (;;) {
+    // Branch-free argmin over the slots' rank keys (sim::Rank::key): the
+    // compare feeds two conditional selects, not a jump on the data.
+    // Seqs are unique, so no two pending slots tie.
     std::size_t next = 0;
+    sim::Rank::Key best = actions_[0].key();
     for (std::size_t k = 1; k < kActions; ++k) {
-      if (actions_[k] < actions_[next]) next = k;
+      const sim::Rank::Key key = actions_[k].key();
+      const bool earlier = key < best;
+      best = earlier ? key : best;
+      next = earlier ? k : next;
     }
     const sim::Rank action = actions_[next];
-    if (sim_.next_rank() < action) {
+    if (sim_.next_rank().key() < best) {
       sim_.step();
       continue;
     }

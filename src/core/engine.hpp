@@ -182,6 +182,8 @@ class Engine {
   //
   // Tie-break: the earlier time runs first; at equal times the lower seq
   // (the one scheduled first) runs first, heap event or slot alike.
+  // run_actions() compares sim::Rank::key() values, which order exactly
+  // like that rule, so the selection needs no branch on the times.
   //
   // Slot merging, the only places where two pending actions share a slot:
   //  * WlanOff keeps one slot at wlan_busy_until_.  A burst that extends

@@ -112,7 +112,7 @@ bool ChangePointDetector::detect(Seconds now) {
     for (std::size_t pos = (m - min_tail) / step * step;; pos -= step) {
       while (j > pos) tail_sum += window_.at(--j) * lambda_o;
       cand_sum_.push_back(tail_sum);
-      cand_len_.push_back(m - pos);
+      cand_len_.push_back(static_cast<double>(m - pos));
       cand_pos_.push_back(pos);
       if (pos < step) break;
     }
@@ -124,29 +124,31 @@ bool ChangePointDetector::detect(Seconds now) {
   double best_margin = -std::numeric_limits<double>::infinity();
   double best_stat = -std::numeric_limits<double>::infinity();
   double best_threshold = 0.0;
-  std::size_t best_k = 0;
+  std::size_t best_c = 0;
+  const std::size_t n_cand = cand_sum_.size();
+  const double* const cand_sum = cand_sum_.data();
+  const double* const cand_len = cand_len_.data();
   for (const ScanRatio& rec : thresholds_->scan()) {
     const double r = rec.ratio;
     const double log_r = rec.log_ratio;
     double stat = -std::numeric_limits<double>::infinity();
-    std::size_t k = 0;
+    std::size_t c_max = 0;
     // Candidates are stored in scan (descending-position) order with a
     // strict improvement test, matching the reference scan's tie-break:
-    // among equal statistics the latest change position wins.
-    for (std::size_t c = 0; c < cand_sum_.size(); ++c) {
-      const double lnp = static_cast<double>(cand_len_[c]) * log_r -
-                         (r - 1.0) * cand_sum_[c];
-      if (lnp > stat) {
-        stat = lnp;
-        k = cand_pos_[c];
-      }
+    // among equal statistics the latest change position wins.  The running
+    // max is two conditional selects, not a branch on the statistic.
+    for (std::size_t c = 0; c < n_cand; ++c) {
+      const double lnp = cand_len[c] * log_r - (r - 1.0) * cand_sum[c];
+      const bool better = lnp > stat;
+      stat = better ? lnp : stat;
+      c_max = better ? c : c_max;
     }
     const double margin = stat - rec.threshold;
     if (margin > best_margin) {
       best_margin = margin;
       best_stat = stat;
       best_threshold = rec.threshold;
-      best_k = k;
+      best_c = c_max;
     }
   }
   const bool found = best_margin > thresholds_->scan_margin();
@@ -161,7 +163,9 @@ bool ChangePointDetector::detect(Seconds now) {
   }
 
   // Change declared: re-estimate the rate from the post-change tail by
-  // maximum likelihood and drop the pre-change samples.
+  // maximum likelihood and drop the pre-change samples.  A finite margin
+  // means some candidate beat -inf, so best_c names a real candidate.
+  const std::size_t best_k = cand_pos_[best_c];
   double raw_tail = 0.0;
   std::size_t tail_len = 0;
   for (std::size_t j = best_k; j < m; ++j) {

@@ -112,10 +112,11 @@ class ChangePointDetector final : public RateDetector {
   double fill_sum_ = 0.0;
   std::size_t samples_since_check_ = 0;
   // Scratch reused across detect() calls (no steady-state allocation):
-  // normalized suffix sums, tail lengths, and window positions of the
-  // candidate change points, in scan (descending-position) order.
+  // normalized suffix sums, tail lengths (as doubles, the type the
+  // statistic multiplies), and window positions of the candidate change
+  // points, in scan (descending-position) order.
   std::vector<double> cand_sum_;
-  std::vector<std::size_t> cand_len_;
+  std::vector<double> cand_len_;
   std::vector<std::size_t> cand_pos_;
   /// Post-change samples seen so far; the estimate refines while this is
   /// below the window size and freezes afterwards (piecewise-constant

@@ -44,7 +44,7 @@ EventId Simulator::schedule_impl(double at, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   ++live_;
-  heap_.push_back(Scheduled{Rank{at, next_seq_++}, slot, s.gen});
+  heap_.push_back(Scheduled{Rank{canonical_time(at), next_seq_++}, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++stats_.scheduled;
   stats_.max_heap_size = std::max(stats_.max_heap_size, heap_.size());

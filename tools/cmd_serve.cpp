@@ -21,11 +21,11 @@ int cmd_serve(int argc, char** argv, int first) {
       if (!opts.root.empty()) usage("serve takes one queue directory");
       opts.root = a;
     }
-    else if (a == "--jobs") { opts.jobs = std::stoi(need(i)); ++i; }
-    else if (a == "--poll-ms") { opts.poll_ms = std::stoi(need(i)); ++i; }
+    else if (a == "--jobs") { opts.jobs = parse_number<int>(a, need(i), 0); ++i; }
+    else if (a == "--poll-ms") { opts.poll_ms = parse_number<int>(a, need(i), 1); ++i; }
     else if (a == "--drain") { opts.drain = true; }
     else if (a == "--max-jobs") {
-      opts.max_jobs = static_cast<std::size_t>(std::stoull(need(i))); ++i;
+      opts.max_jobs = parse_number<std::uint64_t>(a, need(i)); ++i;
     }
     else if (a == "--help" || a == "-h") { usage("help requested"); }
     else { usage(("unknown serve option " + a).c_str()); }
@@ -33,7 +33,6 @@ int cmd_serve(int argc, char** argv, int first) {
   if (opts.root.empty()) {
     usage("serve needs a queue directory (dvs_sim serve <dir>)");
   }
-  if (opts.poll_ms <= 0) usage("--poll-ms must be > 0");
   return serve::run_daemon(opts);
 }
 

@@ -70,7 +70,7 @@ Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
   }
   if (cfg_.metrics != nullptr) {
     detect_latency_hist_ =
-        &cfg_.metrics->histogram("detector.detection_latency_s", 0.0, 60.0, 120);
+        &cfg_.metrics->histogram("detector.detection_latency_s", 0.0, 60.0);
   }
   if (cfg_.profiler != nullptr) {
     // Pre-register the span tree so the hot path is a timestamp plus two

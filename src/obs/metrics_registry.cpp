@@ -16,40 +16,25 @@ std::string fmt_num(double v) {
 }  // namespace
 
 void HistogramMetric::merge(const HistogramMetric& other) {
-  if (hist_.lo() != other.hist_.lo() || hist_.hi() != other.hist_.hi() ||
-      hist_.bins() != other.hist_.bins()) {
+  if (lo_ != other.lo_ || hi_ != other.hi_) {
     throw std::invalid_argument(
-        "HistogramMetric::merge: incompatible histogram shapes");
+        "HistogramMetric::merge: incompatible histogram ranges");
   }
-  for (std::size_t i = 0; i < other.hist_.bins(); ++i) {
-    if (other.hist_.bin_count(i) > 0) {
-      hist_.add(other.hist_.bin_lo(i), other.hist_.bin_count(i));
-    }
-  }
-  // Clamped mass merges as clamped mass (bin_lo of an end bin would lie).
-  if (other.hist_.underflow() > 0) {
-    hist_.add(other.hist_.lo() - 1.0, other.hist_.underflow());
-  }
-  if (other.hist_.overflow() > 0) {
-    hist_.add(other.hist_.hi(), other.hist_.overflow());
-  }
-  stats_.merge(other.stats_);
   sketch_.merge(other.sketch_);
+  sum_ += other.sum_;
+  underflow_ += other.underflow_;
+  overflow_ += other.overflow_;
 }
 
 void HistogramMetric::absorb_sketch(const QuantileSketch& s, double sum) {
   if (s.empty()) return;
-  stats_.absorb(s.count(), sum, s.min(), s.max());
   sketch_.merge(s);
+  sum_ += sum;
 }
 
 HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t bins) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, HistogramMetric{lo, hi, bins}).first;
-  }
-  return it->second;
+                                            double hi) {
+  return histograms_.try_emplace(name, lo, hi).first->second;
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
@@ -71,15 +56,7 @@ const HistogramMetric* MetricsRegistry::find_histogram(
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, value] : other.counters_) counters_[name] += value;
   for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_
-               .emplace(name, HistogramMetric{h.histogram().lo(),
-                                              h.histogram().hi(),
-                                              h.histogram().bins()})
-               .first;
-    }
-    it->second.merge(h);
+    histogram(name, h.lo(), h.hi()).merge(h);
   }
   // Gauges deliberately skipped (see header).
 }
@@ -115,14 +92,14 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     os << (first ? "\n" : ",\n") << "    \"" << name
        << "\": {\"count\": " << h.count();
     if (h.count() > 0) {
-      os << ", \"mean\": " << fmt_num(h.stats().mean())
-         << ", \"min\": " << fmt_num(h.stats().min())
-         << ", \"max\": " << fmt_num(h.stats().max())
+      os << ", \"mean\": " << fmt_num(h.mean())
+         << ", \"min\": " << fmt_num(h.min())
+         << ", \"max\": " << fmt_num(h.max())
          << ", \"p50\": " << fmt_num(h.sketch().quantile(0.5))
          << ", \"p90\": " << fmt_num(h.sketch().quantile(0.9))
          << ", \"p99\": " << fmt_num(h.sketch().quantile(0.99))
-         << ", \"underflow\": " << h.histogram().underflow()
-         << ", \"overflow\": " << h.histogram().overflow();
+         << ", \"underflow\": " << h.underflow()
+         << ", \"overflow\": " << h.overflow();
     }
     os << "}";
     first = false;

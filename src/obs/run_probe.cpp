@@ -20,13 +20,13 @@ RunProbe::RunProbe(TraceRecorder* trace, MetricsRegistry* metrics,
     ledger_->set_freq_table(std::move(freq_mhz));
   }
   if (metrics_ != nullptr) {
-    idle_hist_ = &metrics_->histogram("dpm.idle_period_s", 0.0, 120.0, 240);
-    delay_hist_ = &metrics_->histogram("frames.delay_s", 0.0, 2.0, 200);
-    decode_hist_ = &metrics_->histogram("frames.decode_s", 0.0, 0.2, 200);
+    idle_hist_ = &metrics_->histogram("dpm.idle_period_s", 0.0, 120.0);
+    delay_hist_ = &metrics_->histogram("frames.delay_s", 0.0, 2.0);
+    decode_hist_ = &metrics_->histogram("frames.decode_s", 0.0, 0.2);
     // Frame delay as a multiple of the target — the degradation
     // fingerprint (mass above 1.0 = delay-target violations).
     delay_violation_hist_ =
-        &metrics_->histogram("frames.delay_over_target", 0.0, 10.0, 100);
+        &metrics_->histogram("frames.delay_over_target", 0.0, 10.0);
   }
 }
 
@@ -65,8 +65,13 @@ void RunProbe::detector_decision(Seconds now, std::string_view stream,
   }
   if (info.detected) set_cause(Cause::DetectorChange);
   if (metrics_ == nullptr) return;
-  ++metrics_->counter("detector.decisions");
-  if (info.detected) ++metrics_->counter("detector.changes");
+  if (decisions_ == nullptr) {
+    decisions_ = &metrics_->counter("detector.decisions");
+  }
+  ++*decisions_;
+  if (!info.detected) return;
+  if (changes_ == nullptr) changes_ = &metrics_->counter("detector.changes");
+  ++*changes_;
 }
 
 void RunProbe::freq_commit(Seconds now, std::size_t step, MegaHertz freq,

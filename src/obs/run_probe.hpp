@@ -184,6 +184,10 @@ class RunProbe {
   HistogramMetric* decode_hist_ = nullptr;
   HistogramMetric* delay_violation_hist_ = nullptr;
   HistogramMetric* idle_hist_ = nullptr;
+  // Resolved on the first decision / detected change, not up front: a run
+  // without one keeps the key out of its registry.
+  std::uint64_t* decisions_ = nullptr;
+  std::uint64_t* changes_ = nullptr;
 };
 
 }  // namespace dvs::obs

@@ -50,9 +50,8 @@ void write_openmetrics(const MetricsRegistry& reg, std::ostream& os) {
          << "\n";
     }
     os << n << "_count " << h.count() << "\n";
-    os << n << "_sum " << fmt_num(h.count() > 0 ? h.stats().sum() : 0.0)
-       << "\n";
-    // Binned-histogram clamping, visible to scrapers as its own counter.
+    os << n << "_sum " << fmt_num(h.sum()) << "\n";
+    // Samples outside [lo, hi), visible to scrapers as their own counter.
     const std::string cn = n + "_clamped";
     os << "# TYPE " << cn << " counter\n";
     os << cn << "_total " << h.clamped() << "\n";

@@ -68,7 +68,7 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
     if (h.count() == 0) continue;
     os << (first ? "" : ", ") << "\"" << name
        << "\": {\"count\": " << h.count()
-       << ", \"mean\": " << fmt_num(h.stats().mean())
+       << ", \"mean\": " << fmt_num(h.mean())
        << ", \"p50\": " << fmt_num(h.sketch().quantile(0.5))
        << ", \"p90\": " << fmt_num(h.sketch().quantile(0.9))
        << ", \"p99\": " << fmt_num(h.sketch().quantile(0.99)) << "}";

@@ -96,7 +96,7 @@ TEST(MetricsAggregation, SharedRegistryEqualsMergeOfReplicateRegistries) {
     EXPECT_GT(sum, 0u) << name;
   }
 
-  // Histograms: merged count/moments equal a single recompute over the
+  // Histograms: merged count/sum/extrema equal a single recompute over the
   // union of the replicate sample streams.
   for (const char* name : {"frames.delay_s", "frames.decode_s"}) {
     const HistogramMetric* m = merged.find_histogram(name);
@@ -107,20 +107,20 @@ TEST(MetricsAggregation, SharedRegistryEqualsMergeOfReplicateRegistries) {
       const HistogramMetric* h = s.find_histogram(name);
       ASSERT_NE(h, nullptr) << name;
       count += h->count();
-      sum += h->stats().mean() * static_cast<double>(h->count());
-      mn = std::min(mn, h->stats().min());
-      mx = std::max(mx, h->stats().max());
+      sum += h->sum();
+      mn = std::min(mn, h->min());
+      mx = std::max(mx, h->max());
     }
     EXPECT_EQ(m->count(), count) << name;
-    EXPECT_NEAR(m->stats().mean(), sum / static_cast<double>(count),
-                1e-12 * std::abs(m->stats().mean()))
+    EXPECT_NEAR(m->mean(), sum / static_cast<double>(count),
+                1e-12 * std::abs(m->mean()))
         << name;
-    EXPECT_DOUBLE_EQ(m->stats().min(), mn) << name;
-    EXPECT_DOUBLE_EQ(m->stats().max(), mx) << name;
-    // Binned mass merges too: quantiles of the merged histogram stay
-    // inside the replicate min/max envelope.
-    EXPECT_GE(m->histogram().quantile(0.5), mn);
-    EXPECT_LE(m->histogram().quantile(0.5), mx);
+    EXPECT_DOUBLE_EQ(m->min(), mn) << name;
+    EXPECT_DOUBLE_EQ(m->max(), mx) << name;
+    // The merged sketch's quantiles stay inside the replicate min/max
+    // envelope.
+    EXPECT_GE(m->sketch().quantile(0.5), mn);
+    EXPECT_LE(m->sketch().quantile(0.5), mx);
   }
 
   // Gauges: last writer wins — the shared registry reports the final

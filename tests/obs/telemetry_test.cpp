@@ -21,7 +21,7 @@ MetricsRegistry sample_registry() {
   MetricsRegistry reg;
   reg.counter("frames_decoded") = 41;
   reg.gauge("energy_j") = 12.5;
-  HistogramMetric& h = reg.histogram("frames.delay_s", 0.0, 1.0, 10);
+  HistogramMetric& h = reg.histogram("frames.delay_s", 0.0, 1.0);
   for (int i = 1; i <= 100; ++i) h.add(i * 0.005);  // 0.005 .. 0.5
   return reg;
 }
@@ -208,7 +208,7 @@ TEST(SpanProfiler, FinalizeClosesOpenSpans) {
 
 TEST(HistogramClamp, UnderOverflowExposedInJsonAndWarningList) {
   MetricsRegistry reg;
-  HistogramMetric& h = reg.histogram("narrow", 0.0, 1.0, 4);
+  HistogramMetric& h = reg.histogram("narrow", 0.0, 1.0);
   for (int i = 0; i < 90; ++i) h.add(0.5);
   for (int i = 0; i < 6; ++i) h.add(7.0);   // overflow
   for (int i = 0; i < 4; ++i) h.add(-2.0);  // underflow
@@ -234,14 +234,14 @@ TEST(RegistryMerge, CountersAddHistogramsFoldGaugesSkipped) {
   MetricsRegistry a;
   a.counter("events") = 10;
   a.gauge("last_power") = 5.0;
-  a.histogram("delay", 0.0, 1.0, 10).add(0.25);
+  a.histogram("delay", 0.0, 1.0).add(0.25);
 
   MetricsRegistry b;
   b.counter("events") = 7;
   b.counter("only_b") = 3;
   b.gauge("last_power") = 9.0;
-  b.histogram("delay", 0.0, 1.0, 10).add(0.75);
-  b.histogram("only_b_hist", 0.0, 2.0, 4).add(1.5);
+  b.histogram("delay", 0.0, 1.0).add(0.75);
+  b.histogram("only_b_hist", 0.0, 2.0).add(1.5);
 
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("events"), 17u);
@@ -258,9 +258,9 @@ TEST(RegistryMerge, CountersAddHistogramsFoldGaugesSkipped) {
 
 TEST(RegistryMerge, MismatchedHistogramShapesThrow) {
   MetricsRegistry a;
-  a.histogram("h", 0.0, 1.0, 10);
+  a.histogram("h", 0.0, 1.0);
   MetricsRegistry b;
-  b.histogram("h", 0.0, 2.0, 10);
+  b.histogram("h", 0.0, 2.0);
   EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 

@@ -55,11 +55,6 @@ class Rng {
   /// found to model real idle-time tails, unlike the exponential.
   double pareto(double shape, double scale);
 
-  /// Weibull variate with shape k > 0 and scale s > 0:
-  /// s * (-ln(1-U))^(1/k).  Shape 1 is the exponential with mean s; shape
-  /// > 1 gives more regular (lower-variance) intervals, shape < 1 burstier.
-  double weibull(double shape, double scale);
-
   /// Standard normal via Box-Muller (no state caching; two uniforms per call).
   double normal();
 

@@ -19,7 +19,7 @@
 //                       obs::TelemetrySnapshotter, obs::SpanProfiler,
 //                       obs::write_openmetrics)
 //   * workloads:        workload clip tables, trace builders, decoders
-//   * hardware models:  hw::SmartBadge, hw::Sa1100, battery / DC-DC
+//   * hardware models:  hw::SmartBadge, hw::Sa1100, the CPU catalog
 //   * building blocks:  sim::Simulator, the queue models, detectors, the
 //                       DPM policies and TISMDP solver, common utilities
 //
@@ -51,9 +51,7 @@
 #include "obs/trace_recorder.hpp"
 
 // Hardware models.
-#include "hw/battery.hpp"
 #include "hw/cpu_catalog.hpp"
-#include "hw/dcdc.hpp"
 #include "hw/sa1100.hpp"
 #include "hw/smartbadge.hpp"
 #include "hw/smartbadge_data.hpp"

@@ -7,9 +7,9 @@
 // non-[a-zA-Z0-9_] characters become underscores.  Counters render as
 // counter families (sample name `<family>_total`), gauges as gauges, and
 // histogram metrics as summaries: `{quantile="0.5|0.9|0.99"}` samples from
-// the quantile sketch plus `_count` / `_sum` from the exact moments, and a
-// companion `<family>_clamped_total` counter exposing binned-histogram
-// underflow + overflow.  Output ends with the mandatory `# EOF` marker and
+// the quantile sketch plus `_count` / `_sum`, and a companion
+// `<family>_clamped_total` counter exposing the histogram's underflow +
+// overflow.  Output ends with the mandatory `# EOF` marker and
 // is validated in CI by scripts/check_openmetrics.py.
 #pragma once
 

@@ -181,8 +181,8 @@ void warn_clamped_histograms(const obs::MetricsRegistry& registry) {
   for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
     std::fprintf(stderr,
                  "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
+                 " outside its range (see underflow/overflow in the"
+                 " metrics JSON; sketch quantiles see the true values)\n",
                  name.c_str(), frac * 100.0);
   }
 }

@@ -106,8 +106,8 @@ bool write_document(const std::string& path, const char* label,
                     std::FILE* hout,
                     const std::function<void(std::ostream&)>& write);
 
-/// Warns on stderr about every histogram that folded more than 1% of its
-/// samples into the underflow/overflow counters (the binned view is lying).
+/// Warns on stderr about every histogram that counted more than 1% of its
+/// samples as underflow/overflow (its [lo, hi) range is too narrow).
 void warn_clamped_histograms(const obs::MetricsRegistry& registry);
 
 /// Unix seconds as local wall-clock time in strftime format `fmt`.

@@ -177,8 +177,8 @@ int report_metrics(const std::string& path) {
       hist.add_row({name, "0"});
       continue;
     }
-    // Mass the fixed-bin view folded into its edge bins.  The sketch-backed
-    // quantile columns are unaffected; the warning is about the bins.
+    // Samples outside the histogram's nominal [lo, hi) range.  The sketch
+    // saw their true values, so the quantile columns are unaffected.
     const double clamped =
         h->number_or("underflow", 0.0) + h->number_or("overflow", 0.0);
     hist.add_row({name, TextTable::num(count, 0),
@@ -196,7 +196,7 @@ int report_metrics(const std::string& path) {
   std::printf("\n");
   for (const auto& [name, frac] : clamped_warnings) {
     std::printf("WARNING: histogram %s clamped %.1f%% of its samples outside"
-                " the bin range; binned counts are unreliable at the edges\n",
+                " its range; the range is too narrow for this run\n",
                 name.c_str(), frac * 100.0);
   }
   if (!clamped_warnings.empty()) std::printf("\n");

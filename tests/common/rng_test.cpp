@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -18,6 +19,36 @@ TEST(Rng, DeterministicGivenSeed) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.next_u64(), b.next_u64());
   }
+}
+
+// The first outputs of xoshiro256** seeded through SplitMix64, taken from
+// a separate implementation of the two reference algorithms (Blackman &
+// Vigna): the sequences every sweep and fleet result rests on must not
+// move with the compiler or the platform.
+TEST(Rng, MatchesTheReferenceXoshiro256StarStar) {
+  Rng zero{0};
+  for (std::uint64_t want : {0x99ec5f36cb75f2b4ULL, 0xbf6e1f784956452aULL,
+                             0x1a5f849d4933e6e0ULL, 0x6aa594f1262d2d2cULL}) {
+    EXPECT_EQ(zero.next_u64(), want);
+  }
+  Rng seeded{123};
+  for (std::uint64_t want : {0x325a8fa1d1a069f9ULL, 0xf835e3c7656d4d5eULL,
+                             0x77aa2b46c3f2a62fULL, 0x20820299aacf8206ULL}) {
+    EXPECT_EQ(seeded.next_u64(), want);
+  }
+}
+
+TEST(Rng, UniformIsTheTop53BitsOfTheRawOutput) {
+  Rng a{99};
+  Rng b{99};
+  for (int i = 0; i < 100; ++i) {
+    const double want = static_cast<double>(b.next_u64() >> 11) * 0x1.0p-53;
+    EXPECT_EQ(a.uniform(), want);
+  }
+  // The call operator is the raw stream (UniformRandomBitGenerator).
+  Rng c{5};
+  Rng d{5};
+  EXPECT_EQ(c(), d.next_u64());
 }
 
 TEST(Rng, DifferentSeedsDiverge) {
@@ -106,6 +137,27 @@ TEST(Rng, LognormalUnitMeanConstruction) {
   EXPECT_NEAR(stats.mean(), 1.0, 0.02);
 }
 
+TEST(Rng, UniformClosedRespectsBoundsAndMean) {
+  Rng rng{47};
+  RunningStats stats;
+  for (int i = 0; i < 100000; ++i) {
+    const double x = rng.uniform_closed(0.5, 1.5);
+    EXPECT_GE(x, 0.5);
+    EXPECT_LE(x, 1.5);
+    stats.add(x);
+  }
+  EXPECT_NEAR(stats.mean(), 1.0, 0.01);
+  EXPECT_DOUBLE_EQ(rng.uniform_closed(2.0, 2.0), 2.0);
+}
+
+TEST(Rng, BernoulliCertainOutcomes) {
+  Rng rng{53};
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_FALSE(rng.bernoulli(0.0));
+    EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng{29};
   int hits = 0;
@@ -122,6 +174,37 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (parent.next_u64() == child.next_u64()) ++same;
   }
   EXPECT_LT(same, 2);
+}
+
+TEST(Rng, SplitIsDeterministicAndAdvancesTheParent) {
+  Rng a{31};
+  Rng b{31};
+  Rng child_a = a.split();
+  Rng child_b = b.split();
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(child_a.next_u64(), child_b.next_u64());
+  // The parent moved past the draw that seeded the child.
+  Rng fresh{31};
+  (void)fresh.next_u64();
+  EXPECT_EQ(a.next_u64(), fresh.next_u64());
+}
+
+TEST(Rng, ShuffleIsDeterministicAndSafeOnTinyVectors) {
+  std::vector<int> v1(20);
+  for (int i = 0; i < 20; ++i) v1[static_cast<std::size_t>(i)] = i;
+  std::vector<int> v2 = v1;
+  Rng r1{59};
+  Rng r2{59};
+  shuffle(v1, r1);
+  shuffle(v2, r2);
+  EXPECT_EQ(v1, v2);
+
+  std::vector<int> empty;
+  std::vector<int> one{42};
+  Rng rng{61};
+  shuffle(empty, rng);
+  shuffle(one, rng);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(one, std::vector<int>{42});
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -98,6 +99,22 @@ TEST(QuantileSketch, ErrorsOnEmptyAndOutOfRange) {
   EXPECT_THROW(sk.quantile(-0.1), std::domain_error);
   EXPECT_THROW(sk.quantile(1.1), std::domain_error);
   EXPECT_DOUBLE_EQ(sk.quantile(0.5), 1.0);
+}
+
+TEST(QuantileSketch, ResetReturnsToAnEmptyExactSketch) {
+  QuantileSketch sk{16};
+  for (int i = 0; i < 100; ++i) sk.add(static_cast<double>(i));
+  ASSERT_FALSE(sk.exact());
+  sk.reset();
+  EXPECT_TRUE(sk.empty());
+  EXPECT_TRUE(sk.exact());
+  EXPECT_EQ(sk.exact_capacity(), 16u);
+  EXPECT_THROW((void)sk.min(), std::logic_error);
+  // The old extrema are gone: the next stream starts from scratch.
+  for (double x : {5.0, 3.0, 4.0}) sk.add(x);
+  EXPECT_DOUBLE_EQ(sk.min(), 3.0);
+  EXPECT_DOUBLE_EQ(sk.max(), 5.0);
+  EXPECT_DOUBLE_EQ(sk.quantile(0.5), 4.0);
 }
 
 TEST(QuantileSketchMerge, ExactPlusExactIsExact) {
@@ -241,6 +258,21 @@ TEST(QuantileSketchSerialization, RoundTripIsBitStableBothModes) {
     back.write_text(second);
     EXPECT_EQ(first.str(), second.str()) << "n=" << n;
   }
+}
+
+TEST(QuantileSketchSerialization, SketchTextOfAnEmptySketchIsEmpty) {
+  EXPECT_EQ(sketch_text(QuantileSketch{}), "");
+  EXPECT_TRUE(sketch_from_text("").empty());
+
+  QuantileSketch sk;
+  for (double x : {0.25, 1.5, 0.75}) sk.add(x);
+  const std::string text = sketch_text(sk);
+  ASSERT_FALSE(text.empty());
+  const QuantileSketch back = sketch_from_text(text);
+  EXPECT_EQ(back.count(), 3u);
+  EXPECT_DOUBLE_EQ(back.quantile(0.5), 0.75);
+  EXPECT_EQ(sketch_text(back), text);
+  EXPECT_THROW((void)sketch_from_text("not a sketch"), std::runtime_error);
 }
 
 TEST(QuantileSketchSerialization, RejectsMalformedInput) {
